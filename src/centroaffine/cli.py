@@ -117,6 +117,8 @@ def _cmd_polygon_min(args) -> Report:
     n = args.n
     if n is None or n < 3:
         raise ConfigError("polygon-min needs --n >= 3")
+    if args.trials < 1:
+        raise ConfigError("polygon-min needs --trials >= 1")
     rng = sampling.rng_from_seed(args.seed)
     best = None
     all_converged = True
@@ -155,6 +157,8 @@ def _cmd_bs_check(args) -> Report:
     else:
         if args.n is None or args.n < 3:
             raise ConfigError("bs-check needs --n >= 3 or --in FILE")
+        if args.trials < 1:
+            raise ConfigError("bs-check needs --trials >= 1")
         rng = sampling.rng_from_seed(args.seed)
         polys = [
             sampling.random_star_polygon(args.n, rng) for _ in range(args.trials)

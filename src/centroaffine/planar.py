@@ -200,8 +200,18 @@ class SL2Matrix:
         return cls(1.0, 0.0, 0.0, 1.0)
 
 
+def _shifted(vertices: np.ndarray, k: int) -> np.ndarray:
+    """Rows V_{i+k}, i = 0..n-1, of a half list under the wrap V_{i+n} = -V_i.
+
+    Needs |k| < n.
+    """
+    if k >= 0:
+        return np.vstack([vertices[k:], -vertices[:k]])
+    return np.vstack([-vertices[k:], vertices[:k]])
+
+
 def _turn_angles(vertices: np.ndarray) -> np.ndarray:
-    nxt = np.vstack([vertices[1:], -vertices[:1]])
+    nxt = _shifted(vertices, 1)
     return np.arctan2(area_form(vertices, nxt), np.sum(vertices * nxt, axis=1))
 
 
@@ -222,8 +232,7 @@ class StarPolygon:
             raise InvariantViolation("a star polygon needs at least 3 vertices per half")
         object.__setattr__(self, "vertices", pts)
         pts.setflags(write=False)
-        nxt = np.vstack([pts[1:], -pts[:1]])
-        dev = np.max(np.abs(area_form(pts, nxt) - 1.0))
+        dev = np.max(np.abs(area_form(pts, _shifted(pts, 1)) - 1.0))
         if dev > EPS_POLY:
             raise InvariantViolation(
                 f"max |[V_i, V_i+1] - 1| = {dev:.3e} exceeds eps_poly = {EPS_POLY:.0e}"

@@ -20,19 +20,19 @@ from .errors import (
     DegenerateRays,
     EvenN,
     InvariantViolation,
-    NotStarShaped,
 )
 from .planar import (
     EPS_CLOSE,
     EPS_POLY,
     SL2Matrix,
     StarPolygon,
+    _turn_angles,
     area_form,
+    _shifted,
     sl2_apply,
 )
 
 EPS_GRAD = 1e-8
-EPS_OPT = 1e-7
 
 
 @dataclass(frozen=True)
@@ -242,8 +242,7 @@ def polygon_rays(polygon: StarPolygon) -> RayConfiguration:
     """Vertex arguments, lifted so they increase strictly within a half turn."""
     v = polygon.vertices
     theta0 = math.atan2(v[0, 1], v[0, 0])
-    nxt = np.vstack([v[1:], -v[:1]])
-    turns = np.arctan2(area_form(v, nxt), np.sum(v * nxt, axis=1))
+    turns = _turn_angles(v)
     angles = theta0 + np.concatenate([[0.0], np.cumsum(turns[:-1])])
     return RayConfiguration(angles)
 
@@ -268,69 +267,38 @@ def canonical_gauge(polygon: StarPolygon) -> StarPolygon:
 # ---------------------------------------------------------------------------
 
 
-def _complex_step_grad(fun, x: np.ndarray, h: float = 1e-100) -> np.ndarray:
-    """Machine-precision gradient of an analytic map via complex perturbations."""
-    grad = np.empty(x.size)
-    flat = x.astype(complex).ravel()
-    for k in range(flat.size):
-        saved = flat[k]
-        flat[k] = saved + 1j * h
-        grad[k] = fun(flat.reshape(x.shape)).imag / h
-        flat[k] = saved
-    return grad
+def _energy_gradient(v: np.ndarray) -> np.ndarray:
+    """Gradient of sum_i [V_{i-1}, V_{i+1}]: row j is perp(V_{j+2} - V_{j-2}).
 
-
-def _gap_energy(deltas: np.ndarray):
-    """Total energy from the n angular gaps of a ray configuration.
-
-    Complex-safe so that gradients can be taken by complex step.  The gaps
-    must be positive and sum to pi; the normalizing ray scales come from the
-    alternating solve of t_i t_{i+1} sin(delta_i) = 1.
+    Here perp(x, y) = (y, -x); the indices wrap antipodally.
     """
-    n = deltas.shape[0]
-    gaps = np.sin(deltas)
-    if np.min(gaps.real) <= 1e-12:
-        raise FloatingPointError("degenerate ray gap")
-    b = -np.log(gaps)
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    s = np.empty(n, dtype=b.dtype)
-    s[0] = 0.5 * np.sum(signs * b)
-    for i in range(n - 1):
-        s[i + 1] = b[i] - s[i]
-    spans = np.sin(deltas + np.roll(deltas, 1))
-    return np.sum(np.exp(np.roll(s, 1) + np.roll(s, -1)) * spans)
+    d = _shifted(v, 2) - _shifted(v, -2)
+    return np.column_stack([d[:, 1], -d[:, 0]])
 
 
-def _ray_energy(theta: np.ndarray):
-    """Total energy of the normalized polygon on rays theta (complex-safe)."""
-    ext = np.concatenate([theta, theta[:1] + math.pi])
-    return _gap_energy(np.diff(ext))
-
-
-def _poly_energy(verts: np.ndarray):
-    """sum_i [V_{i-1}, V_{i+1}] on flattened vertex coordinates (complex-safe)."""
-    v = verts.reshape(-1, 2)
-    prev = np.vstack([-v[-1:], v[:-1]])
-    nxt = np.vstack([v[1:], -v[:1]])
-    return np.sum(prev[:, 0] * nxt[:, 1] - prev[:, 1] * nxt[:, 0])
+def _poly_energy(v: np.ndarray) -> float:
+    """sum_i [V_{i-1}, V_{i+1}] on an (n, 2) vertex array."""
+    return float(np.sum(area_form(_shifted(v, -1), _shifted(v, 1))))
 
 
 def _constraint_values(v: np.ndarray) -> np.ndarray:
-    nxt = np.vstack([v[1:], -v[:1]])
-    return area_form(v, nxt) - 1.0
+    return area_form(v, _shifted(v, 1)) - 1.0
 
 
 def _constraint_jacobian(v: np.ndarray) -> np.ndarray:
+    """Rows d[V_i, V_{i+1}] over the flattened vertices.
+
+    d[u, w]/du = (w_y, -w_x) and d[u, w]/dw = (-u_y, u_x); the last row
+    differentiates [V_{n-1}, -V_0], which flips the sign of its V_0 block.
+    """
     n = v.shape[0]
-    jac = np.zeros((n, 2 * n))
-    nxt = np.vstack([v[1:], -v[:1]])
-    for i in range(n):
-        j = (i + 1) % n
-        sign = -1.0 if i == n - 1 else 1.0
-        # d[u, v]/du = (v_y, -v_x), d[u, v]/dv = (-u_y, u_x)
-        jac[i, 2 * i : 2 * i + 2] += (nxt[i, 1], -nxt[i, 0])
-        jac[i, 2 * j : 2 * j + 2] += sign * np.array([-v[i, 1], v[i, 0]])
-    return jac
+    nxt = _shifted(v, 1)
+    rows = np.arange(n)
+    jac = np.zeros((n, n, 2))
+    jac[rows, rows] = np.column_stack([nxt[:, 1], -nxt[:, 0]])
+    jac[rows, (rows + 1) % n] = np.column_stack([-v[:, 1], v[:, 0]])
+    jac[-1, 0] *= -1.0
+    return jac.reshape(n, 2 * n)
 
 
 def project_to_unit_cross(vertices, tol: float = 1e-12, maxiter: int = 40) -> np.ndarray:
@@ -352,16 +320,20 @@ def _tangential(grad_flat: np.ndarray, jac: np.ndarray) -> np.ndarray:
 
 
 def _is_star(v: np.ndarray) -> bool:
-    nxt = np.vstack([v[1:], -v[:1]])
-    turns = np.arctan2(area_form(v, nxt), np.sum(v * nxt, axis=1))
+    turns = _turn_angles(v)
     return bool(np.min(turns) > 0 and abs(float(np.sum(turns)) - math.pi) < 1e-6)
 
 
 def _descend(value_and_grad, step_to, x0, gtol: float, maxiter: int):
-    """Backtracking gradient descent with a Barzilai-Borwein step guess.
+    """Projected gradient descent with backtracking and a Barzilai-Borwein step.
 
-    Stops when the gradient norm drops below gtol, or when the value has
-    stagnated at the rounding floor for several accepted steps in a row.
+    ``value_and_grad(x)`` gives the energy and its gradient tangent to the
+    unit-cross manifold; ``step_to(x, d)`` maps x + d back onto the manifold
+    and raises when that leaves the star-shaped chamber, which halves the
+    step.  Stops converged when the tangential gradient norm drops below
+    gtol, or when the value has stagnated at the rounding floor for several
+    accepted steps in a row; stops unconverged after maxiter iterations or
+    when no step length decreases the value.
     """
     x = x0
     f, g = value_and_grad(x)
@@ -403,76 +375,10 @@ def _descend(value_and_grad, step_to, x0, gtol: float, maxiter: int):
     return x, f, float(np.linalg.norm(g)), it, False
 
 
-def _minimize_odd(theta0: np.ndarray, gtol: float, maxiter: int):
-    """Quotient out the Moebius symmetry and descend without chamber walls.
-
-    Unimodular maps act 3-transitively on ray triples, so the first three
-    angles can be pinned to 0, pi/n, 2pi/n; the remaining gaps are encoded
-    through a softmax, which keeps them positive and summing correctly for
-    any parameter vector.  The smooth unconstrained problem is then handed
-    to L-BFGS with complex-step gradients.
-    """
-    n = theta0.shape[0]
-    head = 2.0 * math.pi / n
-    free = math.pi - head
-
-    def gaps_from(y):
-        w = np.exp(y - np.max(y.real))
-        w = w / np.sum(w)
-        return np.concatenate([[math.pi / n, math.pi / n], free * w])
-
-    def objective(y):
-        return _gap_energy(gaps_from(y))
-
-    y0 = np.log(_ray_deltas(theta0)[2:])
-    if y0.size == 0:
-        deltas = gaps_from(np.zeros(0))
-        angles = np.concatenate([[0.0], np.cumsum(deltas[:-1])])
-        poly = normalize_rays(RayConfiguration(angles))
-        return poly, float(_gap_energy(deltas).real), 0.0, 0, True
-
-    from scipy import optimize
-
-    def fun_and_jac(y):
-        return float(objective(y).real), _complex_step_grad(objective, y)
-
-    y = y0
-    iters = 0
-    gnorm = math.inf
-    f_prev = math.inf
-    at_floor = False
-    # a fresh quasi-Newton memory often recovers from a stalled line search;
-    # once a restart stops improving the value we are at the rounding floor
-    for _ in range(4):
-        res = optimize.minimize(
-            fun_and_jac,
-            y,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": maxiter, "gtol": gtol, "ftol": 0.0},
-        )
-        y = res.x
-        iters += int(res.nit)
-        gnorm = float(np.max(np.abs(res.jac)))
-        if gnorm < gtol or iters >= maxiter:
-            break
-        if f_prev - res.fun <= 1e-14 * (1.0 + abs(res.fun)):
-            at_floor = True
-            break
-        f_prev = res.fun
-    deltas = gaps_from(y)
-    angles = np.concatenate([[0.0], np.cumsum(deltas[:-1])])
-    poly = normalize_rays(RayConfiguration(angles))
-    f = float(_gap_energy(deltas).real)
-    return poly, f, gnorm, iters, bool(gnorm < gtol or at_floor)
-
-
-def _minimize_even(v0: np.ndarray, gtol: float, maxiter: int):
+def _minimize(v0: np.ndarray, gtol: float, maxiter: int):
     def value_and_grad(v):
-        f = float(_poly_energy(v).real)
-        g = _complex_step_grad(_poly_energy, v)
-        jac = _constraint_jacobian(v)
-        return f, _tangential(g, jac).reshape(v.shape)
+        g = _tangential(_energy_gradient(v).ravel(), _constraint_jacobian(v))
+        return _poly_energy(v), g.reshape(v.shape)
 
     def step_to(v, delta):
         cand = project_to_unit_cross(v + delta)
@@ -483,8 +389,8 @@ def _minimize_even(v0: np.ndarray, gtol: float, maxiter: int):
     v = project_to_unit_cross(v0)
     if not _is_star(v):
         raise InvariantViolation("initial point does not project to a star polygon")
-    v, f, gnorm, it, ok = _descend(value_and_grad, step_to, v, gtol, maxiter)
-    return StarPolygon(v), f, gnorm, it, ok
+    v, _, gnorm, it, ok = _descend(value_and_grad, step_to, v, gtol, maxiter)
+    return StarPolygon(v), gnorm, it, ok
 
 
 def minimize_energy(
@@ -496,10 +402,14 @@ def minimize_energy(
 ) -> MinimizationResult:
     """Descend the total cross-product energy over n-vertex star polygons.
 
-    Odd n works on unconstrained ray angles (each configuration normalizes
-    uniquely); even n descends on vertex coordinates, re-imposing the unit
-    cross products by Newton projection after every step.  The reported
-    polygon is in the gauge V_0 = (1, 0), V_{n-1} = (0, 1).
+    One path serves every n: projected gradient descent on the vertex
+    coordinates (:func:`_descend`), with the closed-form energy gradient
+    made tangent to the unit-cross manifold and the unit cross products
+    re-imposed by Newton projection after every step.  A star polygon is
+    the starting point as it is; odd-n rays start from their unique
+    normalization (:func:`normalize_rays`); even-n rays start from equal
+    radii 1 / sqrt(sin(pi / n)).  The reported polygon is in the gauge
+    V_0 = (1, 0), V_{n-1} = (0, 1).
     """
     if n < 3:
         raise InvariantViolation("need n >= 3")
@@ -507,20 +417,14 @@ def minimize_energy(
         raise InvariantViolation("initial ray count does not match n")
     if isinstance(init, StarPolygon) and init.n != n:
         raise InvariantViolation("initial polygon size does not match n")
-    if n % 2 == 1:
-        theta0 = (
-            init.angles.copy()
-            if isinstance(init, RayConfiguration)
-            else polygon_rays(init).angles.copy()
-        )
-        poly, f, gnorm, it, ok = _minimize_odd(theta0, gtol, maxiter)
+    if isinstance(init, StarPolygon):
+        v0 = init.vertices
+    elif n % 2 == 1:
+        v0 = normalize_rays(init).vertices
     else:
-        if isinstance(init, StarPolygon):
-            v0 = init.vertices.copy()
-        else:
-            u = np.column_stack([np.cos(init.angles), np.sin(init.angles)])
-            v0 = u / math.sqrt(math.sin(math.pi / n))
-        poly, f, gnorm, it, ok = _minimize_even(v0, gtol, maxiter)
+        u = np.column_stack([np.cos(init.angles), np.sin(init.angles)])
+        v0 = u / math.sqrt(math.sin(math.pi / n))
+    poly, gnorm, it, ok = _minimize(v0, gtol, maxiter)
     poly = canonical_gauge(poly)
     return MinimizationResult(
         polygon=poly,

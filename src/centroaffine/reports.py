@@ -40,12 +40,11 @@ class Report:
     bounds: dict = field(default_factory=dict)
     satisfied: bool | None = None
     flags: dict = field(default_factory=dict)
-    residuals: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
 
     def payload(self) -> dict[str, Any]:
         """JSON-ready dict; excludes wall time so output bytes are reproducible."""
-        data = {
+        return {
             "command": self.command,
             "inputs": _sanitize(self.inputs),
             "results": _sanitize(self.results),
@@ -53,9 +52,6 @@ class Report:
             "satisfied": self.satisfied,
             "flags": _sanitize(self.flags),
         }
-        if self.residuals:
-            data["residuals"] = _sanitize(self.residuals)
-        return data
 
     def to_json_bytes(self) -> bytes:
         return (json.dumps(self.payload(), sort_keys=True, indent=2) + "\n").encode()

@@ -177,6 +177,14 @@ class TestUsageErrors:
         rc, _, _ = run_cli(capsys, ["bs-check"])
         assert rc == 1
 
+    @pytest.mark.parametrize("command", ["polygon-min", "bs-check"])
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_trials_below_one(self, capsys, command, trials):
+        rc, out, err = run_cli(capsys, [command, "--n", "5", "--trials", trials])
+        assert rc == 1
+        assert out == ""
+        assert "--trials" in err
+
     def test_table_and_infile_conflict(self, capsys, tmp_path):
         path = write_json(tmp_path / "t.json", {"kind": "polygon", "vertices": []})
         rc, _, err = run_cli(capsys, ["abstime", "--table", "square", "--in", path])

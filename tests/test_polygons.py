@@ -34,7 +34,12 @@ from centroaffine.errors import (
     EvenN,
     InvariantViolation,
 )
-from centroaffine.sampling import random_star_polygon, rng_from_seed
+from centroaffine.polygons import _energy_gradient
+from centroaffine.sampling import (
+    random_ray_configuration,
+    random_star_polygon,
+    rng_from_seed,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -205,6 +210,23 @@ def test_canonical_gauge_pins_frame(rng):
     )
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_energy_gradient_matches_central_differences(n, rng):
+    def energy_of(v):
+        ext = np.vstack([-v[-1:], v, -v[:1]])
+        return float(np.sum(area_form(ext[:-2], ext[2:])))
+
+    v = random_star_polygon(n, rng).vertices.copy()
+    h = 1e-5
+    numeric = np.empty_like(v)
+    for idx in np.ndindex(v.shape):
+        up, down = v.copy(), v.copy()
+        up[idx] += h
+        down[idx] -= h
+        numeric[idx] = (energy_of(up) - energy_of(down)) / (2.0 * h)
+    np.testing.assert_allclose(_energy_gradient(v), numeric, atol=1e-7)
+
+
 class TestMinimizeEnergy:
     @pytest.mark.parametrize("n", [3, 5, 6, 8])
     def test_reaches_bound(self, n, rng):
@@ -219,6 +241,11 @@ class TestMinimizeEnergy:
         res = minimize_energy(5, rays)
         assert res.converged
         assert res.value == pytest.approx(energy_lower_bound(5), abs=1e-8)
+
+    def test_odd_rays_above_acceptance_range(self, rng):
+        res = minimize_energy(21, random_ray_configuration(21, rng))
+        assert res.converged
+        assert res.value == pytest.approx(energy_lower_bound(21), abs=1e-8)
 
     def test_size_mismatch(self, rng):
         with pytest.raises(InvariantViolation):
