@@ -84,6 +84,7 @@ from .planar import (
     SampledCurve,
     StarPolygon,
     SupportBody,
+    TrigSeries,
     area_form,
     circular_shift,
     signed_area,

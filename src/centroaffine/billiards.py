@@ -23,7 +23,16 @@ import numpy as np
 
 from .duality import central_symmetrize
 from .errors import InteriorPoint, InvariantViolation, UndefinedOnSingularSet
-from .planar import TWO_PI, SampledCurve, SupportBody, area_form, signed_area, spectral_derivative
+from .planar import (
+    TWO_PI,
+    SampledCurve,
+    SupportBody,
+    TrigSeries,
+    _fourier_multiply,
+    area_form,
+    signed_area,
+    spectral_derivative,
+)
 
 # Normalized cross products below this are treated as tangency ties.
 EPS_SINGULAR = 1e-12
@@ -100,24 +109,10 @@ class _SmoothStepper:
     """Cached trigonometric series of a support body for fast tangency solves."""
 
     def __init__(self, support: SupportBody):
-        values = support.values
-        n = values.shape[0]
-        coeffs = np.fft.rfft(values)
-        weights = np.full(coeffs.shape[0], 2.0 / n)
-        weights[0] = 1.0 / n
-        if n % 2 == 0:
-            weights[-1] = 1.0 / n
-        self.series = weights * coeffs
-        self.orders = np.arange(coeffs.shape[0], dtype=float)
+        self.p = TrigSeries.from_samples(support.values, TWO_PI)
         self.grid = support.grid
-        self.values = values
+        self.values = support.values
         self.units = np.column_stack([np.cos(self.grid), np.sin(self.grid)])
-
-    def value(self, t: float) -> float:
-        return float(np.real(np.exp(1j * t * self.orders) @ self.series))
-
-    def slope(self, t: float) -> float:
-        return float(np.real(np.exp(1j * t * self.orders) @ (1j * self.orders * self.series)))
 
     def tangency(self, x: np.ndarray) -> float:
         """Parameter of the tangent point with the table left of the ray x -> P."""
@@ -139,13 +134,13 @@ class _SmoothStepper:
             flo = h[i]
             for _ in range(48):
                 mid = 0.5 * (lo + hi)
-                fmid = self.value(mid) - (math.cos(mid) * x[0] + math.sin(mid) * x[1])
+                fmid = self.p.series(mid) - (math.cos(mid) * x[0] + math.sin(mid) * x[1])
                 if (flo > 0.0) == (fmid > 0.0):
                     lo, flo = mid, fmid
                 else:
                     hi = mid
             t_root = 0.5 * (lo + hi)
-            lam = (math.cos(t_root) * x[1] - math.sin(t_root) * x[0]) - self.slope(t_root)
+            lam = (math.cos(t_root) * x[1] - math.sin(t_root) * x[0]) - self.p.series(t_root, 1)
             if lam < 0.0:
                 chosen.append(t_root)
         if len(chosen) != 1:
@@ -156,8 +151,8 @@ class _SmoothStepper:
         return chosen[0]
 
     def boundary_point(self, t: float) -> np.ndarray:
-        p = self.value(t)
-        dp = self.slope(t)
+        p = self.p.series(t)
+        dp = self.p.series(t, 1)
         return np.array(
             [p * math.cos(t) - dp * math.sin(t), p * math.sin(t) + dp * math.cos(t)]
         )
@@ -284,20 +279,6 @@ class FlowTrajectory:
     kepler_residual: float
 
 
-def _periodic_antiderivative(values: np.ndarray, period: float) -> np.ndarray:
-    """Antiderivative of the zero-mean part, vanishing at the first node."""
-    n = values.shape[0]
-    coeffs = np.fft.rfft(values)
-    omega = TWO_PI / period
-    k = np.arange(coeffs.shape[0], dtype=float)
-    out = np.zeros_like(coeffs)
-    out[1:] = coeffs[1:] / (1j * omega * k[1:])
-    if n % 2 == 0:
-        out[-1] = 0.0
-    part = np.fft.irfft(out, n)
-    return part - part[0]
-
-
 def far_field_flow(table: ConvexTable) -> FlowTrajectory:
     """Integrate dy/dtau = -4 gamma_bar along Gamma for one revolution.
 
@@ -320,7 +301,9 @@ def far_field_flow(table: ConvexTable) -> FlowTrajectory:
         )
     p = far.symmetrized.values
     rate = 1.0 / (4.0 * p**2)
-    tau = _periodic_antiderivative(rate, TWO_PI) + float(np.mean(rate)) * far.symmetrized.grid
+    # antiderivative without the mean and Nyquist modes, shifted to vanish at the first node
+    wiggle = _fourier_multiply(rate, TWO_PI, lambda k: np.r_[0.0, 1.0 / (1j * k[1:-1]), 0.0])
+    tau = (wiggle - wiggle[0]) + float(np.mean(rate)) * far.symmetrized.grid
     period = float(np.mean(rate)) * TWO_PI
     times = np.concatenate([tau, [period]])
     points = np.vstack([far.points, far.points[:1]])
@@ -383,19 +366,19 @@ def farfield_gauge(far: FarFieldCurve, w) -> float:
         return float(np.max(area_form(far.symmetrized, w[None, :])))
     boundary = -0.5 * far.speeds
     vals = area_form(boundary, w[None, :])
-    return _refined_max(vals)
+    return float(_refined_max(vals[:, None])[0])
 
 
-def _refined_max(vals: np.ndarray) -> float:
-    """Parabolic refinement of a grid maximum of a smooth periodic sample."""
-    i = int(np.argmax(vals))
-    v0 = vals[i]
-    vm = vals[i - 1]
-    vp = vals[(i + 1) % vals.shape[0]]
+def _refined_max(vals: np.ndarray) -> np.ndarray:
+    """Parabolic refinement of the grid maximum of each column of smooth periodic samples."""
+    i = np.argmax(vals, axis=0)
+    cols = np.arange(vals.shape[1])
+    v0 = vals[i, cols]
+    vm = vals[(i - 1) % vals.shape[0], cols]
+    vp = vals[(i + 1) % vals.shape[0], cols]
     denom = 2.0 * v0 - vm - vp
-    if denom <= 0.0:
-        return float(v0)
-    return float(v0 + (vp - vm) ** 2 / (8.0 * denom))
+    bump = np.where(denom > 0.0, (vp - vm) ** 2 / np.where(denom > 0.0, 8.0 * denom, 1.0), 0.0)
+    return v0 + bump
 
 
 def _dist_to_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
@@ -496,15 +479,7 @@ def gauge_function(ball):
 
         def gauge(vectors: np.ndarray) -> np.ndarray:
             vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-            vals = (units @ vectors.T) / p[:, None]
-            i = np.argmax(vals, axis=0)
-            cols = np.arange(vals.shape[1])
-            v0 = vals[i, cols]
-            vm = vals[(i - 1) % vals.shape[0], cols]
-            vp = vals[(i + 1) % vals.shape[0], cols]
-            denom = 2.0 * v0 - vm - vp
-            bump = np.where(denom > 0.0, (vp - vm) ** 2 / np.where(denom > 0.0, 8.0 * denom, 1.0), 0.0)
-            return v0 + bump
+            return _refined_max((units @ vectors.T) / p[:, None])
 
         return gauge
     pts = np.asarray(ball, dtype=float)

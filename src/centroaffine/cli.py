@@ -214,6 +214,8 @@ def _cmd_hessian_scan(args) -> Report:
 
 
 def _cmd_schwarzian_check(args) -> Report:
+    if args.trials < 1:
+        raise ConfigError("schwarzian-check needs --trials >= 1")
     rng = sampling.rng_from_seed(args.seed)
     identity_value = curves.average_schwarzian(curves.DiffeoCurve({}))
     max_avg = identity_value
@@ -268,6 +270,8 @@ def _parse_point(text: str) -> np.ndarray:
         x, y = (float(part) for part in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"--x0 must look like '3.0,0.5', got {text!r}") from exc
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ConfigError(f"--x0 must be finite, got {text!r}")
     return np.array([x, y])
 
 
@@ -348,6 +352,8 @@ def _cmd_abstime(args) -> Report:
 
 
 def _cmd_chord_check(args) -> Report:
+    if args.trials < 1:
+        raise ConfigError("chord-check needs --trials >= 1")
     rng = sampling.rng_from_seed(args.seed)
     offsets = 2.0 * math.pi * np.arange(1, 9) / 9.0
     worst_loop = math.inf
@@ -493,21 +499,21 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         report = args.handler(args)
+        report.wall_time_s = time.perf_counter() - start
+        if args.format == "csv":
+            rows = report.results.get("sweep")
+            if rows is None:
+                raise ConfigError("csv output is only available for sweeps")
+            payload = sweep_csv_bytes(rows)
+        else:
+            # strict JSON: a non-finite number raises ValueError here
+            payload = report.to_json_bytes()
     except (ParseError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1
-    report.wall_time_s = time.perf_counter() - start
-    if args.format == "csv":
-        rows = report.results.get("sweep")
-        if rows is None:
-            print("error: csv output is only available for sweeps", file=sys.stderr)
-            return 1
-        payload = sweep_csv_bytes(rows)
-    else:
-        payload = report.to_json_bytes()
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(payload)

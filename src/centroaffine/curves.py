@@ -39,6 +39,7 @@ from .planar import (
     DEFAULT_GRID,
     TWO_PI,
     SampledCurve,
+    TrigSeries,
     _require_power_of_two,
     area_form,
     circular_shift,
@@ -83,8 +84,10 @@ class DiffeoCurve:
         _require_power_of_two(grid)
         self.harmonics = {k: v for k, v in items}
         self.grid_size = int(grid)
-        self._orders = np.array([k for k, _ in items], dtype=float)
-        self._coeffs = np.array([v for _, v in items], dtype=complex)
+        # f - t as a real series: z_n e^{int} and its conjugate give 2 Re z_n e^{int}
+        self._series = TrigSeries(
+            [k for k, _ in items], 2.0 * np.array([v for _, v in items], dtype=complex), TWO_PI
+        )
         fine = np.arange(4 * self.grid_size) * (math.pi / (2 * self.grid_size))
         fp_min = float(np.min(self.angle_map(fine, order=1)))
         if fp_min < DELTA_DIFFEO:
@@ -96,12 +99,7 @@ class DiffeoCurve:
     def angle_map(self, t, order: int = 0):
         """Evaluate f (order=0) or its derivative f^(order), exactly."""
         t = np.asarray(t, dtype=float)
-        if self._orders.size == 0:
-            val = np.zeros_like(t)
-        else:
-            phases = np.exp(1j * np.multiply.outer(t, self._orders))
-            factors = (1j * self._orders) ** order * self._coeffs
-            val = 2.0 * np.real(phases @ factors)
+        val = self._series.series(t, order)
         if order == 0:
             return t + val
         if order == 1:
@@ -114,11 +112,7 @@ class DiffeoCurve:
 
 def curve_from_diffeo(diffeo: DiffeoCurve) -> SampledCurve:
     """Sample gamma = f'^(-1/2) (cos f, sin f) on the half-period grid."""
-    t = np.arange(diffeo.grid_size) * (math.pi / diffeo.grid_size)
-    f = diffeo.angle_map(t)
-    fp = diffeo.angle_map(t, order=1)
-    scale = fp ** -0.5
-    samples = np.column_stack([scale * np.cos(f), scale * np.sin(f)])
+    samples = _curve_samples(diffeo, diffeo.grid_size)
     return SampledCurve(samples, period=math.pi, wronskian_normalized=True)
 
 
@@ -222,8 +216,11 @@ def schwarzian(f_samples: np.ndarray, period: float) -> np.ndarray:
     fp = 1.0 + spectral_derivative(g, period, 1)
     if np.min(fp) <= 0.0:
         raise NotADiffeo("f' has a nonpositive value; not a circle diffeomorphism")
-    fpp = spectral_derivative(g, period, 2)
-    fppp = spectral_derivative(g, period, 3)
+    return _schwarzian(fp, spectral_derivative(g, period, 2), spectral_derivative(g, period, 3))
+
+
+def _schwarzian(fp, fpp, fppp):
+    """S(f) = f'''/f' - (3/2)(f''/f')^2 from the first three derivatives of f."""
     return fppp / fp - 1.5 * (fpp / fp) ** 2
 
 
@@ -236,11 +233,8 @@ def average_schwarzian(obj) -> float:
     """
     if isinstance(obj, DiffeoCurve):
         t = np.arange(2 * obj.grid_size) * (math.pi / obj.grid_size)
-        fp = obj.angle_map(t, order=1)
-        fpp = obj.angle_map(t, order=2)
-        fppp = obj.angle_map(t, order=3)
-        s_val = fppp / fp - 1.5 * (fpp / fp) ** 2
-        return float(TWO_PI * np.mean(0.5 * fp**2 + s_val))
+        fp, fpp, fppp = (obj.angle_map(t, order=k) for k in (1, 2, 3))
+        return float(TWO_PI * np.mean(0.5 * fp**2 + _schwarzian(fp, fpp, fppp)))
     phi = np.asarray(obj, dtype=float)
     s_val = schwarzian(phi, TWO_PI)
     t = np.arange(phi.shape[0]) * (TWO_PI / phi.shape[0])
@@ -255,11 +249,8 @@ def schwarzian_potential(diffeo: DiffeoCurve) -> HillPotential:
     pointwise, tying the loop potential to the Schwarzian cocycle.
     """
     t = np.arange(diffeo.grid_size) * (math.pi / diffeo.grid_size)
-    fp = diffeo.angle_map(t, order=1)
-    fpp = diffeo.angle_map(t, order=2)
-    fppp = diffeo.angle_map(t, order=3)
-    s_f = fppp / fp - 1.5 * (fpp / fp) ** 2
-    phi_expr = 0.5 * (2.0 * fp) ** 2 + s_f
+    fp, fpp, fppp = (diffeo.angle_map(t, order=k) for k in (1, 2, 3))
+    phi_expr = 0.5 * (2.0 * fp) ** 2 + _schwarzian(fp, fpp, fppp)
     return HillPotential(0.5 * phi_expr, math.pi)
 
 

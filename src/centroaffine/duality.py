@@ -22,6 +22,7 @@ from .planar import (
     StarPolygon,
     TWO_PI,
     _as_points,
+    _shifted,
     area_form,
     signed_area,
     spectral_derivative,
@@ -72,8 +73,7 @@ class WaveFront:
 def dual_polygon(polygon: StarPolygon) -> DualPolygon:
     """Edge-difference dual; pairs to one against the primal vertices."""
     v = polygon.vertices
-    nxt = np.vstack([v[1:], -v[:1]])
-    dual = nxt - v
+    dual = _shifted(v, 1) - v
     pairing = area_form(v, dual)
     if np.max(np.abs(pairing - 1.0)) > EPS_POLY:
         raise InvariantViolation("dual pairing [V_i, V*_i] = 1 failed")

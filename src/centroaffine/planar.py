@@ -60,9 +60,19 @@ def signed_area(points) -> float:
     return 0.5 * float(np.sum(area_form(pts, nxt)))
 
 
-def _fourier_wavenumbers(n: int, period: float) -> np.ndarray:
-    # rfft bin m corresponds to angular frequency 2*pi*m/period
-    return TWO_PI * np.arange(n // 2 + 1) / period
+def _fourier_multiply(samples, period: float, multiplier):
+    """Apply a Fourier multiplier along the first axis of periodic samples.
+
+    ``multiplier`` maps the angular wavenumbers 2 pi m / period of the rfft
+    bins, the Nyquist bin last, to complex factors.  Samples have shape (N,)
+    or (N, d).
+    """
+    arr = np.asarray(samples, dtype=float)
+    n = arr.shape[0]
+    _require_power_of_two(n)
+    mult = multiplier(TWO_PI * np.arange(n // 2 + 1) / period)
+    spectrum = np.fft.rfft(arr, axis=0)
+    return np.fft.irfft(spectrum * _per_mode(mult, spectrum), n=n, axis=0)
 
 
 def spectral_derivative(samples, period: float, order: int = 1):
@@ -74,19 +84,16 @@ def spectral_derivative(samples, period: float, order: int = 1):
     """
     if not 1 <= order <= 4:
         raise InvariantViolation(f"derivative order must be in 1..4, got {order}")
-    arr = np.asarray(samples, dtype=float)
-    n = arr.shape[0]
-    _require_power_of_two(n)
     if period <= 0:
         raise InvariantViolation("period must be positive")
-    k = _fourier_wavenumbers(n, period)
-    mult = (1j * k) ** order
-    if order % 2 == 1:
-        mult[-1] = 0.0
-    coeffs = np.fft.rfft(arr, axis=0)
-    if arr.ndim == 1:
-        return np.fft.irfft(coeffs * mult, n=n, axis=0)
-    return np.fft.irfft(coeffs * mult[:, None], n=n, axis=0)
+
+    def multiplier(k):
+        mult = (1j * k) ** order
+        if order % 2 == 1:
+            mult[-1] = 0.0
+        return mult
+
+    return _fourier_multiply(samples, period, multiplier)
 
 
 def circular_shift(samples, period: float, delta: float):
@@ -95,35 +102,65 @@ def circular_shift(samples, period: float, delta: float):
     Exact for band-limited data; the Nyquist mode is dropped because it has
     no well-defined phase under a non-grid shift.
     """
-    arr = np.asarray(samples, dtype=float)
-    n = arr.shape[0]
-    _require_power_of_two(n)
-    k = _fourier_wavenumbers(n, period)
-    phase = np.exp(1j * k * delta)
-    phase[-1] = 0.0
-    coeffs = np.fft.rfft(arr, axis=0)
-    if arr.ndim == 1:
-        return np.fft.irfft(coeffs * phase, n=n, axis=0)
-    return np.fft.irfft(coeffs * phase[:, None], n=n, axis=0)
+    return _fourier_multiply(
+        samples, period, lambda k: np.append(np.exp(1j * k[:-1] * delta), 0.0)
+    )
+
+
+class TrigSeries:
+    """Real trigonometric series f(t) = Re sum_m c_m e^{i m omega t}, omega = 2 pi / period.
+
+    ``orders`` lists the (possibly sparse) orders m and ``coeffs`` their
+    complex coefficients, already weighted, with shape (K,) or (K, d).  The
+    frequencies i omega m are computed once, so evaluating f or a derivative
+    at arbitrary points is one complex matrix product.
+    """
+
+    def __init__(self, orders, coeffs, period: float):
+        self.orders = np.asarray(orders, dtype=float)
+        self.coeffs = np.asarray(coeffs, dtype=complex)
+        self.period = float(period)
+        self.freq = 1j * (TWO_PI / self.period) * self.orders
+
+    @classmethod
+    def from_samples(cls, samples, period: float) -> "TrigSeries":
+        """Trigonometric interpolant of samples on a power-of-two grid over one period."""
+        arr = np.asarray(samples, dtype=float)
+        n = arr.shape[0]
+        _require_power_of_two(n)
+        coeffs = np.fft.rfft(arr, axis=0) / n
+        # interior modes count twice (conjugate pair), the mean and Nyquist modes once
+        weights = np.full(coeffs.shape[0], 2.0)
+        weights[0] = weights[-1] = 1.0
+        return cls(np.arange(coeffs.shape[0]), _per_mode(weights, coeffs) * coeffs, period)
+
+    def series(self, t, order: int = 0):
+        """f (order 0) or its derivative of the given order at the points t."""
+        coeffs = self.coeffs
+        if order:
+            coeffs = _per_mode(self.freq**order, coeffs) * coeffs
+        return (np.exp(np.multiply.outer(t, self.freq)) @ coeffs).real
+
+    def antiderivative(self) -> "TrigSeries":
+        """Series whose derivative is f without its mean and Nyquist modes.
+
+        For a series from ``from_samples`` the first mode is the mean, which
+        has no periodic antiderivative, and the last is the Nyquist mode,
+        whose antiderivative the samples do not determine; both are dropped.
+        """
+        coeffs = self.coeffs[1:-1]
+        freq = self.freq[1:-1]
+        return TrigSeries(self.orders[1:-1], coeffs / _per_mode(freq, coeffs), self.period)
+
+
+def _per_mode(factor: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Reshape a per-mode factor to broadcast against (K,) or (K, d) coefficients."""
+    return factor.reshape(factor.shape + (1,) * (coeffs.ndim - 1))
 
 
 def trig_interp(samples, period: float, t):
     """Evaluate the trigonometric interpolant of periodic samples at points t."""
-    arr = np.asarray(samples, dtype=float)
-    n = arr.shape[0]
-    _require_power_of_two(n)
-    coeffs = np.fft.rfft(arr, axis=0) / n
-    t = np.asarray(t, dtype=float)
-    omega = TWO_PI / period
-    m = np.arange(coeffs.shape[0])
-    # interior modes count twice (conjugate pair), the edge modes once
-    weights = np.full(coeffs.shape[0], 2.0)
-    weights[0] = 1.0
-    weights[-1] = 1.0
-    phases = np.exp(1j * omega * np.multiply.outer(t, m))
-    if arr.ndim == 1:
-        return np.real(phases @ (weights * coeffs))
-    return np.real(phases @ (weights[:, None] * coeffs))
+    return TrigSeries.from_samples(samples, period).series(t)
 
 
 def resample_by_density(density, period: float, n_out: int) -> np.ndarray:
@@ -133,35 +170,19 @@ def resample_by_density(density, period: float, n_out: int) -> np.ndarray:
     integral of ``density`` reaches j/n_out of its total at theta_j.  Used to
     re-parameterize curves by arclength or by swept area.
     """
-    rho = np.asarray(density, dtype=float)
-    n = rho.shape[0]
-    _require_power_of_two(n)
-    if np.min(rho) <= 0:
+    series = TrigSeries.from_samples(density, period)
+    if np.min(density) <= 0:
         raise InvariantViolation("density must be strictly positive")
-    coeffs = np.fft.rfft(rho) / n
-    mean = coeffs[0].real
-    omega = TWO_PI / period
-    m = np.arange(1, coeffs.shape[0])
-    osc = coeffs[1:] / (1j * omega * m)
-    osc[-1] = 0.0  # Nyquist has no odd antiderivative
-
-    def running(theta):
-        phases = np.exp(1j * omega * np.multiply.outer(theta, m))
-        wiggle = 2.0 * np.real(phases @ osc)
-        wiggle0 = 2.0 * np.real(np.sum(osc))
-        return mean * theta + (wiggle - wiggle0)
-
-    def rho_at(theta):
-        phases = np.exp(1j * omega * np.multiply.outer(theta, m))
-        return mean + 2.0 * np.real(phases @ coeffs[1:])
-
+    mean = series.coeffs[0].real
+    wiggle = series.antiderivative()
+    wiggle0 = wiggle.series(0.0)
     targets = mean * period * np.arange(n_out) / n_out
     theta = period * np.arange(n_out) / n_out
     for _ in range(50):
-        val = running(theta) - targets
+        val = mean * theta + (wiggle.series(theta) - wiggle0) - targets
         if np.max(np.abs(val)) < 1e-13 * mean * period:
             break
-        theta = theta - val / rho_at(theta)
+        theta = theta - val / series.series(theta)
     return theta
 
 
@@ -365,12 +386,6 @@ class SupportBody:
         p = self.values
         pp = self.derivative(1)
         return 0.5 * TWO_PI * float(np.mean(p * p - pp * pp))
-
-    def interp(self, t, order: int = 0):
-        """Support function (order 0) or its derivatives evaluated off-grid."""
-        if order == 0:
-            return trig_interp(self.values, TWO_PI, t)
-        return trig_interp(self.derivative(order), TWO_PI, t)
 
 
 def sl2_apply(matrix: SL2Matrix, obj):

@@ -54,7 +54,8 @@ class Report:
         }
 
     def to_json_bytes(self) -> bytes:
-        return (json.dumps(self.payload(), sort_keys=True, indent=2) + "\n").encode()
+        text = json.dumps(self.payload(), sort_keys=True, indent=2, allow_nan=False)
+        return (text + "\n").encode()
 
     @property
     def exit_code(self) -> int:

@@ -10,6 +10,7 @@ import pytest
 
 from centroaffine import cli
 from centroaffine.polygons import regular_polygon
+from centroaffine.reports import Report
 
 REPORT_KEYS = {"command", "inputs", "results", "bounds", "satisfied", "flags"}
 
@@ -177,13 +178,36 @@ class TestUsageErrors:
         rc, _, _ = run_cli(capsys, ["bs-check"])
         assert rc == 1
 
-    @pytest.mark.parametrize("command", ["polygon-min", "bs-check"])
+    @pytest.mark.parametrize(
+        "command", ["polygon-min", "bs-check", "chord-check", "schwarzian-check"]
+    )
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_trials_below_one(self, capsys, command, trials):
-        rc, out, err = run_cli(capsys, [command, "--n", "5", "--trials", trials])
+        size = ["--n", "5"] if command in ("polygon-min", "bs-check") else []
+        rc, out, err = run_cli(capsys, [command, *size, "--trials", trials])
         assert rc == 1
         assert out == ""
         assert "--trials" in err
+
+    @pytest.mark.parametrize("x0", ["nan,0", "inf,0", "0,-inf"])
+    def test_non_finite_start_point(self, capsys, x0):
+        rc, out, err = run_cli(
+            capsys, ["billiard-orbit", "--table", "square", "--x0", x0]
+        )
+        assert rc == 1
+        assert out == ""
+        assert "--x0" in err
+
+    def test_non_finite_payload_is_an_error(self, capsys, monkeypatch):
+        def handler(args):
+            return Report(command="abstime", results={"value": math.nan}, satisfied=True)
+
+        monkeypatch.setattr(cli, "_cmd_abstime", handler)
+        rc, out, err = run_cli(capsys, ["abstime", "--table", "square"])
+        assert rc == 1
+        assert out == ""
+        assert "not JSON compliant" in err
+        assert "Traceback" not in err
 
     def test_table_and_infile_conflict(self, capsys, tmp_path):
         path = write_json(tmp_path / "t.json", {"kind": "polygon", "vertices": []})
@@ -360,8 +384,42 @@ class TestOutputFormats:
         assert "wall_time" not in out
 
 
+CHEAP_RUNS = {
+    "polygon-min": ["--n", "5", "--trials", "2", "--seed", "3"],
+    "bs-check": ["--n", "5", "--trials", "10", "--seed", "99"],
+    "ialpha-sweep": ["--grid", "8"],
+    "hessian-scan": ["--n", "8", "--grid", "50"],
+    "schwarzian-check": ["--trials", "2", "--seed", "1"],
+    "criticality": ["--alpha", "1.0"],
+    "conjecture-search": ["--n", "2", "--trials", "1", "--grid", "8", "--seed", "5"],
+    "billiard-orbit": ["--table", "circle", "--x0", "3,0.5", "--steps", "4"],
+    "farfield-error": ["--table", "triangle", "--radius", "50", "--radius", "100"],
+    "abstime": ["--table", "circle"],
+    "chord-check": ["--trials", "1", "--seed", "9"],
+}
+
+
 class TestDeterminism:
     ARGV = ["bs-check", "--n", "5", "--trials", "10", "--seed", "99"]
+
+    def test_every_subcommand_is_covered(self, capsys):
+        _, usage, _ = run_cli(capsys, ["--help"])
+        commands = usage[usage.index("{") + 1 : usage.index("}")].split(",")
+        assert set(CHEAP_RUNS) == set(commands)
+
+    @pytest.mark.parametrize("command", sorted(CHEAP_RUNS))
+    def test_subcommand_byte_identical(self, capsys, command):
+        argv = [command, *CHEAP_RUNS[command]]
+        rc, first, _ = run_cli(capsys, argv)
+        _, second, _ = run_cli(capsys, argv)
+        assert rc == 0
+        assert first == second
+        proc = subprocess.run(
+            [sys.executable, "-m", "centroaffine.cli", *argv],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == rc
+        assert proc.stdout == first
 
     def test_repeat_runs_byte_identical(self, capsys):
         _, first, _ = run_cli(capsys, self.ARGV)

@@ -12,6 +12,7 @@ from centroaffine import (
     SampledCurve,
     StarPolygon,
     SupportBody,
+    TrigSeries,
     area_form,
     circular_shift,
     regular_polygon,
@@ -104,6 +105,79 @@ def test_trig_interp_between_grid_points():
     samples = np.exp(np.cos(t))
     query = np.array([0.1, 1.7, 5.5])
     np.testing.assert_allclose(trig_interp(samples, TWO_PI, query), np.exp(np.cos(query)), atol=1e-10)
+
+
+def _band_limited(n, period, top, width=1, seed=0):
+    """Random samples of a real trig polynomial with orders below ``top``, plus the grid."""
+    rng = np.random.default_rng(seed)
+    t = period * np.arange(n) / n
+    m = np.arange(top)
+    phases = np.multiply.outer(t, m) * (TWO_PI / period)
+    a = rng.normal(size=(top, width))
+    b = rng.normal(size=(top, width))
+    samples = np.cos(phases) @ a + np.sin(phases) @ b
+    return t, samples[:, 0] if width == 1 else samples
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_trig_series_matches_spectral_derivative_on_grid(order):
+    period = 3.0
+    t, samples = _band_limited(64, period, top=20)
+    series = TrigSeries.from_samples(samples, period)
+    expected = samples if order == 0 else spectral_derivative(samples, period, order)
+    np.testing.assert_allclose(series.series(t, order), expected, atol=1e-10 * 20.0**order)
+
+
+def test_trig_series_antiderivative_differentiates_back():
+    period = 2.5
+    n = 32
+    t, samples = _band_limited(n, period, top=n // 2 + 1, seed=1)
+    series = TrigSeries.from_samples(samples, period)
+    # the data carries a mean and a Nyquist mode; the antiderivative drops both
+    assert abs(series.coeffs[0]) > 1e-3 and abs(series.coeffs[-1]) > 1e-3
+    oscillating = TrigSeries(series.orders[1:-1], series.coeffs[1:-1], period)
+    query = np.random.default_rng(2).uniform(-period, 2.0 * period, size=40)
+    anti = series.antiderivative()
+    np.testing.assert_allclose(anti.series(query, 1), oscillating.series(query), atol=1e-12)
+    # and it is the antiderivative: cos(3 w t) integrates to sin(3 w t) / (3 w)
+    w = TWO_PI / period
+    grid = period * np.arange(n) / n
+    cosine = TrigSeries.from_samples(1.0 + np.cos(3.0 * w * grid), period).antiderivative()
+    expected = np.sin(3.0 * w * query) / (3.0 * w)
+    np.testing.assert_allclose(cosine.series(query), expected, atol=1e-14)
+
+
+def test_trig_series_vector_coefficients():
+    period = TWO_PI
+    t, samples = _band_limited(64, period, top=12, width=2, seed=3)
+    series = TrigSeries.from_samples(samples, period)
+    assert series.coeffs.shape == (33, 2)
+    query = np.linspace(-1.0, 7.0, 25)
+    for order in (0, 1, 2):
+        both = series.series(query, order)
+        assert both.shape == (25, 2)
+        for col in range(2):
+            alone = TrigSeries.from_samples(samples[:, col], period).series(query, order)
+            np.testing.assert_allclose(both[:, col], alone, atol=1e-12)
+    second = TrigSeries.from_samples(samples[:, 1], period).antiderivative()
+    np.testing.assert_allclose(
+        series.antiderivative().series(query)[:, 1], second.series(query), atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_trig_series_sparse_orders_match_direct_sum(order):
+    period = 4.0
+    w = TWO_PI / period
+    orders = [2, 5, 11]
+    coeffs = [0.3 - 0.1j, -0.05 + 0.2j, 0.01 + 0.0j]
+    query = np.random.default_rng(4).uniform(0.0, period, size=30)
+    direct = sum(
+        (c * (1j * m * w) ** order * np.exp(1j * m * w * query)).real
+        for m, c in zip(orders, coeffs)
+    )
+    series = TrigSeries(orders, coeffs, period)
+    np.testing.assert_allclose(series.series(query, order), direct, atol=1e-12 * 11.0**order)
 
 
 def test_resample_by_density_equidistributes():
