@@ -47,9 +47,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(path: str) -> dict:
+    def finite(convert):
+        def parse(token: str):
+            if not math.isfinite(float(token)):
+                raise ParseError(f"{path}: non-finite number {token} is not allowed")
+            return convert(token)
+
+        return parse
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(
+                fh, parse_float=finite(float), parse_int=finite(int), parse_constant=finite(float)
+            )
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -123,11 +133,7 @@ def _cmd_polygon_min(args) -> Report:
     best = None
     all_converged = True
     for _ in range(args.trials):
-        if n % 2 == 1:
-            init = sampling.random_ray_configuration(n, rng)
-        else:
-            init = sampling.random_star_polygon(n, rng, spread=0.3, transform=False)
-        res = polygons.minimize_energy(n, init)
+        res = polygons.minimize_energy(n, sampling.random_ray_configuration(n, rng))
         all_converged = all_converged and res.converged
         if best is None or res.value < best.value:
             best = res
@@ -300,8 +306,9 @@ def _cmd_billiard_orbit(args) -> Report:
 
 def _cmd_farfield_error(args) -> Report:
     table, spec = _resolve_table(args)
-    radii = args.radius if args.radius else [1e3, 1e4]
-    radii = sorted(float(r) for r in radii)
+    radii = sorted(set(args.radius)) if args.radius else [1e3, 1e4]
+    if len(radii) < 2 or not all(math.isfinite(r) and r > 0 for r in radii):
+        raise ConfigError("farfield-error needs >= 2 distinct finite positive --radius values")
     try:
         runs = [billiards.far_field_error(table, r) for r in radii]
     except (InteriorPoint, UndefinedOnSingularSet) as exc:

@@ -27,7 +27,7 @@ from .planar import (
     signed_area,
     spectral_derivative,
 )
-from .polygons import CrossProducts, cross_products, energy
+from .polygons import cross_products, energy
 
 EPS_RADIAL = 1e-10
 

@@ -13,7 +13,7 @@ any Fourier operation.  All sample counts are powers of two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

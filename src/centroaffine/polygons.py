@@ -267,13 +267,17 @@ def canonical_gauge(polygon: StarPolygon) -> StarPolygon:
 # ---------------------------------------------------------------------------
 
 
+def _perp(d: np.ndarray) -> np.ndarray:
+    """Rows perp(x, y) = (y, -x), so that [w, b] = <w, perp(b)>."""
+    return np.column_stack([d[:, 1], -d[:, 0]])
+
+
 def _energy_gradient(v: np.ndarray) -> np.ndarray:
     """Gradient of sum_i [V_{i-1}, V_{i+1}]: row j is perp(V_{j+2} - V_{j-2}).
 
-    Here perp(x, y) = (y, -x); the indices wrap antipodally.
+    The indices wrap antipodally.
     """
-    d = _shifted(v, 2) - _shifted(v, -2)
-    return np.column_stack([d[:, 1], -d[:, 0]])
+    return _perp(_shifted(v, 2) - _shifted(v, -2))
 
 
 def _poly_energy(v: np.ndarray) -> float:
@@ -285,20 +289,33 @@ def _constraint_values(v: np.ndarray) -> np.ndarray:
     return area_form(v, _shifted(v, 1)) - 1.0
 
 
-def _constraint_jacobian(v: np.ndarray) -> np.ndarray:
-    """Rows d[V_i, V_{i+1}] over the flattened vertices.
+def _constraint_derivative(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """J w = [w_i, V_{i+1}] + [V_i, w_{i+1}], J the Jacobian of the constraints."""
+    return area_form(w, _shifted(v, 1)) + area_form(v, _shifted(w, 1))
 
-    d[u, w]/du = (w_y, -w_x) and d[u, w]/dw = (-u_y, u_x); the last row
-    differentiates [V_{n-1}, -V_0], which flips the sign of its V_0 block.
+
+def _least_norm_step(v: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """J^T (J J^T)^{-1} r, the shortest w with J w = r.
+
+    J^T y has rows perp(y_i V_{i+1} - y_{i-1} V_{i-1}), and J J^T is cyclic
+    tridiagonal with diagonal |V_i|^2 + |V_{i+1}|^2 and entries
+    -<V_i, V_{i+2}> at (i, i+1) and (i+1, i); all wraps are antipodal.
     """
     n = v.shape[0]
     nxt = _shifted(v, 1)
     rows = np.arange(n)
-    jac = np.zeros((n, n, 2))
-    jac[rows, rows] = np.column_stack([nxt[:, 1], -nxt[:, 0]])
-    jac[rows, (rows + 1) % n] = np.column_stack([-v[:, 1], v[:, 0]])
-    jac[-1, 0] *= -1.0
-    return jac.reshape(n, 2 * n)
+    jjt = np.diag(np.sum(v * v, axis=1) + np.sum(nxt * nxt, axis=1))
+    off = -np.sum(v * _shifted(v, 2), axis=1)
+    jjt[rows, (rows + 1) % n] = off
+    jjt[(rows + 1) % n, rows] = off
+    y = np.linalg.solve(jjt, r)[:, None]
+    return _perp(y * nxt - _shifted(y * v, -1))
+
+
+def _tangent_gradient(v: np.ndarray) -> np.ndarray:
+    """The energy gradient minus its component normal to the constraint manifold."""
+    g = _energy_gradient(v)
+    return g - _least_norm_step(v, _constraint_derivative(v, g))
 
 
 def project_to_unit_cross(vertices, tol: float = 1e-12, maxiter: int = 40) -> np.ndarray:
@@ -308,15 +325,8 @@ def project_to_unit_cross(vertices, tol: float = 1e-12, maxiter: int = 40) -> np
         phi = _constraint_values(v)
         if np.max(np.abs(phi)) < tol:
             return v
-        jac = _constraint_jacobian(v)
-        step = jac.T @ np.linalg.solve(jac @ jac.T, phi)
-        v = v - step.reshape(-1, 2)
+        v = v - _least_norm_step(v, phi)
     raise InvariantViolation("Newton projection onto unit cross products stalled")
-
-
-def _tangential(grad_flat: np.ndarray, jac: np.ndarray) -> np.ndarray:
-    lam = np.linalg.solve(jac @ jac.T, jac @ grad_flat)
-    return grad_flat - jac.T @ lam
 
 
 def _is_star(v: np.ndarray) -> bool:
@@ -324,39 +334,37 @@ def _is_star(v: np.ndarray) -> bool:
     return bool(np.min(turns) > 0 and abs(float(np.sum(turns)) - math.pi) < 1e-6)
 
 
-def _descend(value_and_grad, step_to, x0, gtol: float, maxiter: int):
+def _descend(v: np.ndarray, gtol: float, maxiter: int):
     """Projected gradient descent with backtracking and a Barzilai-Borwein step.
 
-    ``value_and_grad(x)`` gives the energy and its gradient tangent to the
-    unit-cross manifold; ``step_to(x, d)`` maps x + d back onto the manifold
-    and raises when that leaves the star-shaped chamber, which halves the
-    step.  Stops converged when the tangential gradient norm drops below
-    gtol, or when the value has stagnated at the rounding floor for several
-    accepted steps in a row; stops unconverged after maxiter iterations or
-    when no step length decreases the value.
+    Each trial point v - t g is projected back onto the unit-cross manifold;
+    a failed projection or a result outside the star-shaped chamber
+    (:func:`_is_star`) halves t, as does too small a decrease.  Stops
+    converged when the tangent gradient norm drops below gtol, or when the
+    energy has stagnated at the rounding floor for several accepted steps in
+    a row; stops unconverged after maxiter iterations or when no step length
+    decreases the energy.
     """
-    x = x0
-    f, g = value_and_grad(x)
+    f, g = _poly_energy(v), _tangent_gradient(v)
     step = 1.0 / (1.0 + float(np.linalg.norm(g)))
-    it = 0
     flat_steps = 0
-    while it < maxiter:
+    for it in range(maxiter):
         gnorm = float(np.linalg.norm(g))
-        if gnorm < gtol:
-            return x, f, gnorm, it, True
-        if flat_steps >= 8:
-            return x, f, gnorm, it, True
-        moved = False
+        if gnorm < gtol or flat_steps >= 8:
+            return v, gnorm, it, True
         t = step
         for _ in range(60):
             try:
-                x_new = step_to(x, -t * g)
-                f_new, g_new = value_and_grad(x_new)
-            except (FloatingPointError, InvariantViolation, np.linalg.LinAlgError):
+                v_new = project_to_unit_cross(v - t * g)
+            except (InvariantViolation, np.linalg.LinAlgError):
+                v_new = None
+            if v_new is None or not _is_star(v_new):
                 t *= 0.5
                 continue
+            f_new = _poly_energy(v_new)
             if f_new <= f - 1e-4 * t * gnorm * gnorm:
-                dx = (x_new - x).ravel()
+                g_new = _tangent_gradient(v_new)
+                dx = (v_new - v).ravel()
                 dg = (g_new - g).ravel()
                 denom = float(dx @ dg)
                 step = float(dx @ dx) / denom if denom > 0 else t * 2.0
@@ -365,32 +373,12 @@ def _descend(value_and_grad, step_to, x0, gtol: float, maxiter: int):
                     flat_steps += 1
                 else:
                     flat_steps = 0
-                x, f, g = x_new, f_new, g_new
-                moved = True
+                v, f, g = v_new, f_new, g_new
                 break
             t *= 0.5
-        it += 1
-        if not moved:
-            return x, f, float(np.linalg.norm(g)), it, False
-    return x, f, float(np.linalg.norm(g)), it, False
-
-
-def _minimize(v0: np.ndarray, gtol: float, maxiter: int):
-    def value_and_grad(v):
-        g = _tangential(_energy_gradient(v).ravel(), _constraint_jacobian(v))
-        return _poly_energy(v), g.reshape(v.shape)
-
-    def step_to(v, delta):
-        cand = project_to_unit_cross(v + delta)
-        if not _is_star(cand):
-            raise FloatingPointError("projection left the star-shaped chamber")
-        return cand
-
-    v = project_to_unit_cross(v0)
-    if not _is_star(v):
-        raise InvariantViolation("initial point does not project to a star polygon")
-    v, _, gnorm, it, ok = _descend(value_and_grad, step_to, v, gtol, maxiter)
-    return StarPolygon(v), gnorm, it, ok
+        else:
+            return v, float(np.linalg.norm(g)), it + 1, False
+    return v, float(np.linalg.norm(g)), maxiter, False
 
 
 def minimize_energy(
@@ -402,30 +390,31 @@ def minimize_energy(
 ) -> MinimizationResult:
     """Descend the total cross-product energy over n-vertex star polygons.
 
-    One path serves every n: projected gradient descent on the vertex
-    coordinates (:func:`_descend`), with the closed-form energy gradient
-    made tangent to the unit-cross manifold and the unit cross products
-    re-imposed by Newton projection after every step.  A star polygon is
-    the starting point as it is; odd-n rays start from their unique
-    normalization (:func:`normalize_rays`); even-n rays start from equal
-    radii 1 / sqrt(sin(pi / n)).  The reported polygon is in the gauge
+    One path serves every n.  A star polygon is the starting point as it
+    is; rays start from points at the equal radius 1 / sqrt(sin(pi / n)),
+    the radius of the regular polygon, projected onto [V_i, V_{i+1}] = 1.
+    Projected gradient descent (:func:`_descend`) then moves the vertex
+    coordinates along the closed-form energy gradient made tangent to the
+    unit-cross manifold, and Newton projection re-imposes the unit cross
+    products after every step.  The constraint Jacobian J is never formed:
+    J, its transpose and the cyclic tridiagonal J J^T are shifted stencils
+    (:func:`_least_norm_step`).  The reported polygon is in the gauge
     V_0 = (1, 0), V_{n-1} = (0, 1).
     """
     if n < 3:
         raise InvariantViolation("need n >= 3")
-    if isinstance(init, RayConfiguration) and init.n != n:
-        raise InvariantViolation("initial ray count does not match n")
-    if isinstance(init, StarPolygon) and init.n != n:
-        raise InvariantViolation("initial polygon size does not match n")
+    if init.n != n:
+        raise InvariantViolation("initial ray or vertex count does not match n")
     if isinstance(init, StarPolygon):
         v0 = init.vertices
-    elif n % 2 == 1:
-        v0 = normalize_rays(init).vertices
     else:
         u = np.column_stack([np.cos(init.angles), np.sin(init.angles)])
         v0 = u / math.sqrt(math.sin(math.pi / n))
-    poly, gnorm, it, ok = _minimize(v0, gtol, maxiter)
-    poly = canonical_gauge(poly)
+    v = project_to_unit_cross(v0)
+    if not _is_star(v):
+        raise InvariantViolation("initial point does not project to a star polygon")
+    v, gnorm, it, ok = _descend(v, gtol, maxiter)
+    poly = canonical_gauge(StarPolygon(v))
     return MinimizationResult(
         polygon=poly,
         value=energy(poly),

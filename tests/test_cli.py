@@ -115,6 +115,16 @@ class TestHappyPaths:
         e_near, e_far = rep["results"]["errors"]
         assert e_far < e_near
 
+    def test_farfield_error_drops_repeated_radii(self, capsys):
+        rc, rep, _ = run_json(
+            capsys,
+            ["farfield-error", "--table", "triangle", "--radius", "800",
+             "--radius", "200", "--radius", "800"],
+        )
+        assert rc == 0
+        assert rep["inputs"]["radii"] == [200.0, 800.0]
+        assert len(rep["results"]["errors"]) == 2
+
     def test_abstime_square(self, capsys):
         rc, rep, _ = run_json(capsys, ["abstime", "--table", "square"])
         assert rc == 0
@@ -208,6 +218,40 @@ class TestUsageErrors:
         assert out == ""
         assert "not JSON compliant" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "radii",
+        [["200"], ["200", "200"], ["inf", "200"], ["nan", "200"], ["0", "200"],
+         ["-5", "200"]],
+        ids=["one", "repeated", "inf", "nan", "zero", "negative"],
+    )
+    def test_farfield_error_radii(self, capsys, radii):
+        argv = ["farfield-error", "--table", "triangle"]
+        for r in radii:
+            argv += ["--radius", r]
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 1
+        assert out == ""
+        assert "--radius" in err
+
+    @pytest.mark.parametrize(
+        "command, token, text",
+        [
+            ("ialpha-sweep", "NaN", '{"half_period": NaN, "harmonics": [[4, 0.02, 0.01]]}'),
+            ("ialpha-sweep", "1e999", '{"harmonics": [[4, 1e999, 0.01]]}'),
+            ("bs-check", "Infinity", '{"vertices": [[Infinity, 0.0], [0.0, 1.0], [-1.0, 0.5]]}'),
+            ("abstime", "-Infinity", '{"kind": "support", "values": [1.0, -Infinity, 1.0]}'),
+            ("bs-check", "1" + "0" * 400, '{"vertices": [[1' + "0" * 400 + ', 0], [0, 1]]}'),
+        ],
+        ids=["curve-nan", "curve-overflow", "polygon-inf", "table-minus-inf", "polygon-big-int"],
+    )
+    def test_non_finite_json_token(self, capsys, tmp_path, command, token, text):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        rc, out, err = run_cli(capsys, [command, "--in", str(path)])
+        assert rc == 1
+        assert out == ""
+        assert f"non-finite number {token}" in err
 
     def test_table_and_infile_conflict(self, capsys, tmp_path):
         path = write_json(tmp_path / "t.json", {"kind": "polygon", "vertices": []})

@@ -34,7 +34,12 @@ from centroaffine.errors import (
     EvenN,
     InvariantViolation,
 )
-from centroaffine.polygons import _energy_gradient
+from centroaffine.polygons import (
+    _constraint_derivative,
+    _constraint_values,
+    _energy_gradient,
+    _least_norm_step,
+)
 from centroaffine.sampling import (
     random_ray_configuration,
     random_star_polygon,
@@ -227,6 +232,23 @@ def test_energy_gradient_matches_central_differences(n, rng):
     np.testing.assert_allclose(_energy_gradient(v), numeric, atol=1e-7)
 
 
+@pytest.mark.parametrize("n", [3, 4, 7, 8])
+def test_constraint_algebra_matches_central_differences(n, rng):
+    v = random_star_polygon(n, rng).vertices
+    h = 1e-5
+    jac = np.empty((n, 2 * n))
+    for k in range(2 * n):
+        e = np.zeros(2 * n)
+        e[k] = h
+        e = e.reshape(n, 2)
+        jac[:, k] = (_constraint_values(v + e) - _constraint_values(v - e)) / (2.0 * h)
+    w = rng.normal(size=v.shape)
+    r = rng.normal(size=n)
+    np.testing.assert_allclose(_constraint_derivative(v, w), jac @ w.ravel(), atol=1e-8)
+    expected = jac.T @ np.linalg.solve(jac @ jac.T, r)
+    np.testing.assert_allclose(_least_norm_step(v, r).ravel(), expected, atol=1e-8)
+
+
 class TestMinimizeEnergy:
     @pytest.mark.parametrize("n", [3, 5, 6, 8])
     def test_reaches_bound(self, n, rng):
@@ -241,11 +263,21 @@ class TestMinimizeEnergy:
         res = minimize_energy(5, rays)
         assert res.converged
         assert res.value == pytest.approx(energy_lower_bound(5), abs=1e-8)
+        rays = RayConfiguration(np.array([0.0, 0.4, 1.1, 1.5, 2.2, 2.7]))
+        res = minimize_energy(6, rays)
+        assert res.converged
+        assert res.value == pytest.approx(energy_lower_bound(6), abs=1e-8)
 
     def test_odd_rays_above_acceptance_range(self, rng):
         res = minimize_energy(21, random_ray_configuration(21, rng))
         assert res.converged
         assert res.value == pytest.approx(energy_lower_bound(21), abs=1e-8)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_converges_from_random_rays_at_n81(self, seed):
+        res = minimize_energy(81, random_ray_configuration(81, rng_from_seed(seed)))
+        assert res.converged
+        assert res.value == pytest.approx(energy_lower_bound(81), abs=1e-8)
 
     def test_size_mismatch(self, rng):
         with pytest.raises(InvariantViolation):
