@@ -17,6 +17,7 @@ sqrt(2) (parallelogram tables) and pi/2 (ellipse tables).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ import numpy as np
 from .duality import central_symmetrize
 from .errors import InteriorPoint, InvariantViolation, UndefinedOnSingularSet
 from .planar import (
+    DEFAULT_GRID,
     TWO_PI,
     SampledCurve,
     SupportBody,
@@ -38,6 +40,7 @@ from .planar import (
 EPS_SINGULAR = 1e-12
 # Margin for the outside-the-table test, relative to the point scale.
 EPS_OUTSIDE = 1e-12
+_INSIDE = "point is inside the table or on its boundary; the outer billiard map is undefined there"
 
 
 @dataclass(frozen=True)
@@ -70,10 +73,6 @@ class ConvexTable:
         else:
             raise InvariantViolation(f"unknown table kind {self.kind!r}")
 
-    @property
-    def n(self) -> int:
-        return 0 if self.kind == "smooth" else self.vertices.shape[0]
-
 
 def polygon_table(vertices) -> ConvexTable:
     return ConvexTable(kind="polygon", vertices=np.asarray(vertices, dtype=float))
@@ -85,7 +84,7 @@ def support_table(support) -> ConvexTable:
     return ConvexTable(kind="smooth", support=support)
 
 
-def named_table(name: str, grid: int = 1024) -> ConvexTable:
+def named_table(name: str) -> ConvexTable:
     """Builtin tables: "triangle", "square" (polygons) and "circle" (smooth)."""
     if name == "triangle":
         ang = np.array([0.5, 7.0 / 6.0, 11.0 / 6.0]) * math.pi
@@ -93,20 +92,17 @@ def named_table(name: str, grid: int = 1024) -> ConvexTable:
     if name == "square":
         return polygon_table([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
     if name == "circle":
-        return support_table(np.ones(grid))
+        return support_table(np.ones(DEFAULT_GRID))
     raise InvariantViolation(f"unknown table name {name!r}")
 
 
-def _point_in_polygon(pts: np.ndarray, x: np.ndarray, margin: float) -> bool:
-    """True when x is inside or within margin of the closed polygon."""
-    edges = np.roll(pts, -1, axis=0) - pts
-    side = area_form(edges, x[None, :] - pts)
-    lengths = np.hypot(edges[:, 0], edges[:, 1])
-    return bool(np.min(side / lengths) > -margin)
-
-
 class _SmoothStepper:
-    """Cached trigonometric series of a support body for fast tangency solves."""
+    """Cached trigonometric series of a support body for fast tangency solves.
+
+    With h(t) = p(t) - <u(t), x> and lambda = <u'(t), x> - p'(t), h' = -lambda,
+    so the forward tangency (lambda < 0) is where h crosses from negative to
+    positive.  The grid samples of h pick that one bracket; only it is refined.
+    """
 
     def __init__(self, support: SupportBody):
         self.p = TrigSeries.from_samples(support.values, TWO_PI)
@@ -119,36 +115,23 @@ class _SmoothStepper:
         h = self.values - self.units @ x
         scale = max(1.0, float(np.hypot(x[0], x[1])))
         if float(np.min(h)) > -EPS_OUTSIDE * scale:
-            raise InteriorPoint(
-                "point is inside the table or on its boundary; the outer "
-                "billiard map is undefined there"
-            )
+            raise InteriorPoint(_INSIDE)
         sign = np.where(h == 0.0, 1e-300, h)
-        flips = np.nonzero(sign * np.roll(sign, -1) < 0.0)[0]
-        n = self.values.shape[0]
-        step = TWO_PI / n
-        chosen = []
-        for i in flips:
-            lo = self.grid[i]
-            hi = lo + step
-            flo = h[i]
-            for _ in range(48):
-                mid = 0.5 * (lo + hi)
-                fmid = self.p.series(mid) - (math.cos(mid) * x[0] + math.sin(mid) * x[1])
-                if (flo > 0.0) == (fmid > 0.0):
-                    lo, flo = mid, fmid
-                else:
-                    hi = mid
-            t_root = 0.5 * (lo + hi)
-            lam = (math.cos(t_root) * x[1] - math.sin(t_root) * x[0]) - self.p.series(t_root, 1)
-            if lam < 0.0:
-                chosen.append(t_root)
-        if len(chosen) != 1:
+        rises = np.nonzero((sign < 0.0) & (np.roll(sign, -1) > 0.0))[0]
+        if rises.size != 1:
             raise UndefinedOnSingularSet(
-                f"found {len(chosen)} forward tangencies instead of 1; the point "
+                f"found {rises.size} forward tangencies instead of 1; the point "
                 "sits on the singular set of the map"
             )
-        return chosen[0]
+        lo = self.grid[rises[0]]
+        hi = lo + TWO_PI / self.values.shape[0]
+        for _ in range(48):
+            mid = 0.5 * (lo + hi)
+            if self.p.series(mid) - (math.cos(mid) * x[0] + math.sin(mid) * x[1]) > 0.0:
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
 
     def boundary_point(self, t: float) -> np.ndarray:
         p = self.p.series(t)
@@ -161,34 +144,38 @@ class _SmoothStepper:
         return 2.0 * self.boundary_point(self.tangency(x)) - x
 
 
-def _polygon_step(pts: np.ndarray, x: np.ndarray) -> np.ndarray:
-    scale = max(1.0, float(np.hypot(x[0], x[1])))
-    if _point_in_polygon(pts, x, EPS_OUTSIDE * scale):
-        raise InteriorPoint(
-            "point is inside the table or on its boundary; the outer billiard "
-            "map is undefined there"
-        )
-    d = pts - x[None, :]
-    norms = np.hypot(d[:, 0], d[:, 1])
-    cross = (d[:, 0][:, None] * d[:, 1][None, :] - d[:, 1][:, None] * d[:, 0][None, :])
-    cross = cross / (norms[:, None] * norms[None, :])
-    np.fill_diagonal(cross, np.inf)
-    margins = np.min(cross, axis=1)
-    best = int(np.argmax(margins))
-    if margins[best] <= EPS_SINGULAR:
-        raise UndefinedOnSingularSet(
-            "two table vertices are collinear with the point; the tangency "
-            "vertex is ambiguous"
-        )
-    return 2.0 * pts[best] - x
+def _billiard_map(table: ConvexTable) -> Callable[[np.ndarray], np.ndarray]:
+    """The outer billiard map F of one table, with its per-table data built once."""
+    if table.kind == "smooth":
+        return _SmoothStepper(table.support).step
+    pts = table.vertices
+    edges = np.roll(pts, -1, axis=0) - pts
+    lengths = np.hypot(edges[:, 0], edges[:, 1])
+
+    def step(x: np.ndarray) -> np.ndarray:
+        scale = max(1.0, float(np.hypot(x[0], x[1])))
+        if np.min(area_form(edges, x[None, :] - pts) / lengths) > -EPS_OUTSIDE * scale:
+            raise InteriorPoint(_INSIDE)
+        d = pts - x[None, :]
+        norms = np.hypot(d[:, 0], d[:, 1])
+        cross = d[:, 0][:, None] * d[:, 1][None, :] - d[:, 1][:, None] * d[:, 0][None, :]
+        cross = cross / (norms[:, None] * norms[None, :])
+        np.fill_diagonal(cross, np.inf)
+        margins = np.min(cross, axis=1)
+        best = int(np.argmax(margins))
+        if margins[best] <= EPS_SINGULAR:
+            raise UndefinedOnSingularSet(
+                "two table vertices are collinear with the point; the tangency "
+                "vertex is ambiguous"
+            )
+        return 2.0 * pts[best] - x
+
+    return step
 
 
 def outer_billiard_step(table: ConvexTable, x) -> np.ndarray:
     """One application of the outer billiard map F(x) = 2 P - x."""
-    x = np.asarray(x, dtype=float).reshape(2)
-    if table.kind == "polygon":
-        return _polygon_step(table.vertices, x)
-    return _SmoothStepper(table.support).step(x)
+    return _billiard_map(table)(np.asarray(x, dtype=float).reshape(2))
 
 
 def billiard_orbit(table: ConvexTable, x0, steps: int) -> np.ndarray:
@@ -198,13 +185,9 @@ def billiard_orbit(table: ConvexTable, x0, steps: int) -> np.ndarray:
         raise InvariantViolation("orbit length must be nonnegative")
     out = np.empty((steps + 1, 2))
     out[0] = np.asarray(x0, dtype=float).reshape(2)
-    if table.kind == "polygon":
-        for k in range(steps):
-            out[k + 1] = _polygon_step(table.vertices, out[k])
-    else:
-        stepper = _SmoothStepper(table.support)
-        for k in range(steps):
-            out[k + 1] = stepper.step(out[k])
+    step = _billiard_map(table)
+    for k in range(steps):
+        out[k + 1] = step(out[k])
     return out
 
 
@@ -382,16 +365,18 @@ def _refined_max(vals: np.ndarray) -> np.ndarray:
 
 
 def _dist_to_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each point to the boundary of a closed polygon."""
-    a = poly
-    b = np.roll(poly, -1, axis=0)
-    e = b - a
-    ee = np.sum(e * e, axis=1)
-    rel = points[:, None, :] - a[None, :, :]
-    t = np.clip(np.einsum("pmd,md->pm", rel, e) / ee[None, :], 0.0, 1.0)
-    foot = a[None, :, :] + t[:, :, None] * e[None, :, :]
-    d = np.min(np.hypot(*(points[:, None, :] - foot).transpose(2, 0, 1)), axis=1)
-    return d
+    """Euclidean distance from each point to the boundary of a closed polygon.
+
+    A running minimum over the edges keeps memory linear in points + vertices.
+    """
+    edges = np.roll(poly, -1, axis=0) - poly
+    best = np.full(points.shape[0], np.inf)
+    for a, e, ee in zip(poly, edges, np.sum(edges * edges, axis=1)):
+        rel = points - a
+        t = np.clip((rel[:, 0] * e[0] + rel[:, 1] * e[1]) / ee, 0.0, 1.0)
+        foot = a + t[:, None] * e
+        np.minimum(best, np.hypot(*(points - foot).T), out=best)
+    return best
 
 
 @dataclass(frozen=True)
@@ -427,18 +412,13 @@ def far_field_error(table: ConvexTable, radius: float, direction=None) -> FarFie
     lam = farfield_gauge(far, x0)
     expected = lam * 0.5 * far.farfield_area
     max_steps = int(math.ceil(2.0 * expected)) + 64
-    stepper = None
-    if table.kind == "smooth":
-        stepper = _SmoothStepper(table.support)
+    step = _billiard_map(table)
     pts = [x0]
     winding = 0.0
     angle = math.atan2(x0[1], x0[0])
     y = x0
     for _ in range(max_steps):
-        if table.kind == "polygon":
-            y = _polygon_step(table.vertices, _polygon_step(table.vertices, y))
-        else:
-            y = stepper.step(stepper.step(y))
+        y = step(step(y))
         pts.append(y)
         new_angle = math.atan2(y[1], y[0])
         delta = new_angle - angle

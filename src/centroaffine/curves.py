@@ -357,17 +357,16 @@ def criticality_residual(curve: SampledCurve, alpha: float) -> np.ndarray:
     if not curve.wronskian_normalized:
         raise InvariantViolation("criticality residual needs [gamma, gamma'] = 1")
     d1 = curve.derivative(1)
-    doubled = curve.doubled()
-    d1_doubled = np.vstack([d1, -d1])
+    # columns gamma, gamma' on the doubled grid, shifted together
+    both = np.hstack([curve.samples, d1])
+    both = np.vstack([both, -both])
     n = curve.grid_size
     period_full = 2.0 * curve.period
-    g_plus = circular_shift(doubled, period_full, alpha)[:n]
-    g_minus = circular_shift(doubled, period_full, -alpha)[:n]
-    dp_plus = circular_shift(d1_doubled, period_full, alpha)[:n]
-    dp_minus = circular_shift(d1_doubled, period_full, -alpha)[:n]
-    return 3.0 * area_form(d1, g_plus - g_minus) + area_form(
-        curve.samples, dp_plus - dp_minus
+    diff = (
+        circular_shift(both, period_full, alpha)[:n]
+        - circular_shift(both, period_full, -alpha)[:n]
     )
+    return 3.0 * area_form(d1, diff[:, :2]) + area_form(curve.samples, diff[:, 2:])
 
 
 def chord_average(samples: np.ndarray, offset: float, fn: Callable | None = None) -> float:

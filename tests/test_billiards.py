@@ -1,12 +1,14 @@
 """Outer billiards: the vertex/tangency step, far-field limit and timing."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from centroaffine import (
     SupportBody,
+    TrigSeries,
     absolute_time,
     area_form,
     billiard_orbit,
@@ -28,6 +30,7 @@ from centroaffine.errors import (
     InvariantViolation,
     UndefinedOnSingularSet,
 )
+from centroaffine.billiards import _dist_to_polygon, _SmoothStepper
 from centroaffine.sampling import (
     random_convex_polygon_table,
     random_sl2,
@@ -103,6 +106,52 @@ class TestStep:
         y = outer_billiard_step(table, x)
         mid = 0.5 * (x + y)
         assert np.max(np.abs(mid)) == pytest.approx(1.0, abs=1e-12)
+
+
+def _reference_tangency(support: SupportBody, x: np.ndarray) -> float:
+    """Tangency parameter by the rule that refines every sign change of h.
+
+    h(t) = p(t) - <u(t), x> on the grid; each bracket where h changes sign is
+    bisected 48 times, and the root kept is the one where
+    lambda = <u'(t), x> - p'(t) is negative.
+    """
+    p = TrigSeries.from_samples(support.values, TWO_PI)
+    grid = support.grid
+    h = support.values - np.column_stack([np.cos(grid), np.sin(grid)]) @ x
+    sign = np.where(h == 0.0, 1e-300, h)
+    chosen = []
+    for i in np.nonzero(sign * np.roll(sign, -1) < 0.0)[0]:
+        lo, hi, flo = grid[i], grid[i] + TWO_PI / grid.size, h[i]
+        for _ in range(48):
+            mid = 0.5 * (lo + hi)
+            fmid = p.series(mid) - (math.cos(mid) * x[0] + math.sin(mid) * x[1])
+            if (flo > 0.0) == (fmid > 0.0):
+                lo, flo = mid, fmid
+            else:
+                hi = mid
+        t = 0.5 * (lo + hi)
+        if (math.cos(t) * x[1] - math.sin(t) * x[0]) - p.series(t, 1) < 0.0:
+            chosen.append(t)
+    assert len(chosen) == 1
+    return chosen[0]
+
+
+class TestForwardTangency:
+    @pytest.mark.parametrize("table_seed", ["circle", 1, 2, 3])
+    def test_grid_bracket_matches_refine_both_rule(self, rng, table_seed):
+        if table_seed == "circle":
+            table = named_table("circle")
+        else:
+            table = random_support_table(np.random.default_rng(table_seed))
+        support = table.support
+        stepper = _SmoothStepper(support)
+        inner = 1.05 * float(np.max(support.values))
+        for _ in range(12):
+            r = math.exp(rng.uniform(math.log(inner), math.log(300.0)))
+            theta = rng.uniform(0.0, TWO_PI)
+            x = r * np.array([math.cos(theta), math.sin(theta)])
+            want = 2.0 * stepper.boundary_point(_reference_tangency(support, x)) - x
+            assert np.array_equal(outer_billiard_step(table, x), want)
 
 
 class TestOrbit:
@@ -237,6 +286,32 @@ class TestFarFieldError:
         w = np.array([0.3, 0.4])
         assert farfield_gauge(far, w) == pytest.approx(0.5, abs=1e-9)
         assert farfield_gauge(far, 2 * w) == pytest.approx(1.0, abs=1e-9)
+
+
+def _broadcast_dist(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """Distance to a closed polygon from one points x edges x 2 array."""
+    e = np.roll(poly, -1, axis=0) - poly
+    rel = points[:, None, :] - poly[None, :, :]
+    t = np.clip(np.einsum("pmd,md->pm", rel, e) / np.sum(e * e, axis=1), 0.0, 1.0)
+    foot = poly[None, :, :] + t[:, :, None] * e[None, :, :]
+    return np.min(np.hypot(*(points[:, None, :] - foot).transpose(2, 0, 1)), axis=1)
+
+
+class TestDistToPolygon:
+    def test_matches_broadcast_in_bounded_memory(self, rng):
+        theta = TWO_PI * np.arange(512) / 512
+        poly = 40.0 * np.column_stack([np.cos(theta), 0.6 * np.sin(theta)])
+        points = rng.normal(scale=50.0, size=(2048, 2))
+        want = _broadcast_dist(points, poly)
+        tracemalloc.start()
+        try:
+            got = _dist_to_polygon(points, poly)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        # the broadcast form needs 2048 * 512 * 2 floats (16 MB) per temporary
+        assert peak < 2 * 2**20
 
 
 class TestMinkowskiGeometry:

@@ -1,4 +1,4 @@
-"""Every module of the package uses what it imports."""
+"""Every module of the package uses what it imports, and every private helper has a caller."""
 
 import ast
 from pathlib import Path
@@ -7,6 +7,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "centroaffine"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,3 +31,47 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level names with one leading underscore bound by def, class or assignment."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def references(tree: ast.Module) -> set[str]:
+    """Names read, attributes accessed and names imported anywhere in a module."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(a.name for a in node.names)
+    return refs
+
+
+def dead_helpers(module: str, others: list[str]) -> list[str]:
+    """Private module-level names that neither their module nor the others refer to."""
+    refs = set().union(*(references(ast.parse(s)) for s in [module, *others]))
+    return sorted(set(private_definitions(ast.parse(module))) - refs)
+
+
+def test_checker_flags_a_dead_helper():
+    module = "_LIMIT = 3\n\ndef _used():\n    return _LIMIT\n\ndef _dead():\n    pass\n"
+    module += "def _imported():\n    pass\n\ndef __dunder__():\n    pass\n_used()\n"
+    other = "from pkg.mod import _imported\n"
+    assert dead_helpers(module, [other]) == ["_dead"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_private_helpers(path):
+    others = [p.read_text(encoding="utf-8") for p in SOURCES if p != path]
+    assert dead_helpers(path.read_text(encoding="utf-8"), others) == []
