@@ -36,7 +36,8 @@ from .planar import (
     spectral_derivative,
 )
 
-# Normalized cross products below this are treated as tangency ties.
+# A point this close to the line through two table vertices, relative to the
+# point scale, is treated as a tangency tie.
 EPS_SINGULAR = 1e-12
 # Margin for the outside-the-table test, relative to the point scale.
 EPS_OUTSIDE = 1e-12
@@ -163,7 +164,12 @@ def _billiard_map(table: ConvexTable) -> Callable[[np.ndarray], np.ndarray]:
         np.fill_diagonal(cross, np.inf)
         margins = np.min(cross, axis=1)
         best = int(np.argmax(margins))
-        if margins[best] <= EPS_SINGULAR:
+        # the margin is a sine; scale it to the distance from x to the line
+        # through P_best and the vertex that sets it
+        j = int(np.argmin(cross[best]))
+        gap = pts[j] - pts[best]
+        dist = margins[best] * norms[best] * norms[j] / math.hypot(gap[0], gap[1])
+        if dist <= EPS_SINGULAR * scale:
             raise UndefinedOnSingularSet(
                 "two table vertices are collinear with the point; the tangency "
                 "vertex is ambiguous"

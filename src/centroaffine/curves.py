@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (
     AlphaOutOfRange,
@@ -468,6 +467,76 @@ def _deficit_objective(params, orders, alpha_idx, grid):
     return float(np.min(deficit))
 
 
+def _nelder_mead(fun, x0, args, maxiter, xatol, fatol):
+    """Nelder-Mead simplex search, step for step as scipy's ``minimize`` runs it.
+
+    Non-adaptive coefficients, a 5 % initial simplex (0.00025 on zero
+    coordinates), and a stop once both the simplex and its values span at
+    most ``xatol`` and ``fatol``, or after ``maxiter`` iterations.  Returns
+    the best vertex, its value and the number of objective calls.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = x0.size
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        nfev += 1
+        return fun(np.copy(x), *args)
+
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([f(v) for v in sim], dtype=float)
+    # scipy sorts twice before the first iteration; argsort is not stable on ties
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    iterations = 1
+    while iterations < maxiter:
+        if (
+            np.max(np.abs(sim[1:] - sim[0])) <= xatol
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+        ):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = f(xr)
+        shrink = False
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+            fxc = f(xc)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            xcc = (1 - psi) * xbar + psi * sim[-1]
+            fxcc = f(xcc)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                fsim[j] = f(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], float(np.min(fsim)), nfev
+
+
 def deficit_search(
     cutoff: int,
     trials: int,
@@ -526,17 +595,13 @@ def deficit_search(
                 break
         if x0 is None:
             continue
-        res = optimize.minimize(
-            _deficit_objective,
-            x0,
-            args=(orders, alpha_idx, grid),
-            method="Nelder-Mead",
-            options={"maxiter": maxiter, "xatol": 1e-10, "fatol": 1e-13},
+        x, fun, nfev = _nelder_mead(
+            _deficit_objective, x0, (orders, alpha_idx, grid), maxiter, 1e-10, 1e-13
         )
-        evaluations += int(res.nfev)
-        if res.fun < best:
-            best = float(res.fun)
-            best_params = np.asarray(res.x).copy()
+        evaluations += nfev
+        if fun < best:
+            best = fun
+            best_params = x.copy()
     harmonics_out = []
     if best_params is not None:
         harmonics_out.append([orders[0], float(best_params[0]), 0.0])

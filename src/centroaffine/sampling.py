@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .billiards import ConvexTable, polygon_table, support_table
 from .curves import DELTA_DIFFEO, DiffeoCurve
@@ -122,6 +121,29 @@ def random_diffeo(
     return DiffeoCurve({int(k): z[i] for i, k in enumerate(orders)}, grid=grid)
 
 
+def _hull(points: np.ndarray) -> np.ndarray:
+    """Indices of the convex hull's vertices, counterclockwise.
+
+    A. M. Andrew's monotone chain: sort by (x, y), then build the lower and
+    the upper chain, popping every vertex that is not a strict left turn, so
+    repeated points and points inside a hull edge are left out.
+    """
+
+    def chain(order):
+        out = []
+        for i in order:
+            while len(out) >= 2:
+                a, b, c = points[out[-2]], points[out[-1]], points[i]
+                if (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) > 0:
+                    break
+                out.pop()
+            out.append(i)
+        return out[:-1]
+
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    return np.array(chain(order) + chain(order[::-1]), dtype=np.intp)
+
+
 def random_convex_polygon_table(
     rng: np.random.Generator, n_points: int = 10
 ) -> ConvexTable:
@@ -130,8 +152,7 @@ def random_convex_polygon_table(
         raise InvariantViolation("need at least 3 cloud points")
     for _ in range(32):
         cloud = rng.normal(size=(n_points, 2))
-        hull = ConvexHull(cloud)
-        verts = cloud[hull.vertices]
+        verts = cloud[_hull(cloud)]
         verts = verts - np.mean(verts, axis=0)
         try:
             return polygon_table(verts)

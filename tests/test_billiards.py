@@ -99,6 +99,18 @@ class TestStep:
         with pytest.raises(UndefinedOnSingularSet):
             outer_billiard_step(named_table("square"), (1.0, -3.0))
 
+    @pytest.mark.parametrize("offset", [1e-4, -1e-4])
+    def test_far_point_off_an_edge_line_is_regular(self, offset):
+        # 1e-4 off the line y = 1 the sine between the sight lines to (1, 1) and
+        # (-1, 1) is about 2e-13 at x = 3e4, but the point is 1e8 ulps off the line
+        table = named_table("square")
+        near = np.array([1e3, 1.0 + offset])
+        far = np.array([3e4, 1.0 + offset])
+        pivot = 0.5 * (near + outer_billiard_step(table, near))
+        np.testing.assert_array_equal(0.5 * (far + outer_billiard_step(table, far)), pivot)
+        with pytest.raises(UndefinedOnSingularSet):
+            outer_billiard_step(table, (3e4, 1.0))
+
     def test_step_is_involutive_reflection(self, rng):
         # F(x) reflects x in the tangency point, so the midpoint lies on the table
         table = named_table("square")

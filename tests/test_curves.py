@@ -31,7 +31,7 @@ from centroaffine import (
     schwarzian_potential,
     sl2_apply,
 )
-from centroaffine.curves import _mode_values
+from centroaffine.curves import _deficit_objective, _mode_values, _nelder_mead
 from centroaffine.errors import (
     AlphaOutOfRange,
     InvariantViolation,
@@ -339,3 +339,39 @@ def test_deficit_search_supports_conjecture():
 def test_deficit_search_validates_cutoff():
     with pytest.raises(InvariantViolation):
         deficit_search(1, 3, 8, 0)
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+# 16 interior alpha samples on a 128-point grid, as deficit_search picks them
+_ALPHA_IDX = np.round(np.arange(1, 17) * 128 / 17).astype(int)
+_DEFICIT_ARGS = {3: ([4, 6], _ALPHA_IDX, 128), 4: ([4, 6, 8], _ALPHA_IDX, 128)}
+
+
+@pytest.mark.parametrize(
+    "fun, x0, args",
+    [
+        (_rosenbrock, [-1.2, 1.0], ()),
+        (_rosenbrock, [0.0, 1.3, 0.7, -0.4, 0.0], ()),
+        (_deficit_objective, [0.03, -0.01, 0.02], _DEFICIT_ARGS[3]),
+        (_deficit_objective, [0.02, 0.01, -0.015, 0.005, 0.0], _DEFICIT_ARGS[4]),
+        # starts next to the f' floor, so some vertices tie at the 10.0 penalty
+        (_deficit_objective, [0.1185, 0.0, 0.0], _DEFICIT_ARGS[3]),
+    ],
+    ids=["rosenbrock-2", "rosenbrock-5-zeros", "deficit-M3", "deficit-M4", "deficit-M3-floor"],
+)
+@pytest.mark.parametrize("maxiter", [40, None])
+def test_nelder_mead_matches_scipy(fun, x0, args, maxiter):
+    optimize = pytest.importorskip("scipy.optimize")
+    x0 = np.array(x0)
+    maxiter = maxiter or 400 * x0.size
+    res = optimize.minimize(
+        fun, x0, args=args, method="Nelder-Mead",
+        options={"maxiter": maxiter, "xatol": 1e-10, "fatol": 1e-13},
+    )
+    x, value, nfev = _nelder_mead(fun, x0, args, maxiter, 1e-10, 1e-13)
+    assert np.array_equal(x, res.x)
+    assert value == res.fun
+    assert nfev == res.nfev

@@ -1,6 +1,10 @@
-"""Every module of the package uses what it imports, and every private helper has a caller."""
+"""Every module of the package uses what it imports, every private helper has a caller,
+and the package imports nothing from scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,3 +79,35 @@ def test_checker_flags_a_dead_helper():
 def test_no_dead_private_helpers(path):
     others = [p.read_text(encoding="utf-8") for p in SOURCES if p != path]
     assert dead_helpers(path.read_text(encoding="utf-8"), others) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level package of every module an import statement names, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_checker_finds_nested_imports():
+    source = "import numpy as np\n\ndef f():\n    from scipy.spatial import ConvexHull\n"
+    source += "from . import planar\n"
+    assert imported_modules(source) == {"numpy", "scipy"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    assert "scipy" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    probe = "import sys, centroaffine.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "[]"

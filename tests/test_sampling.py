@@ -12,7 +12,9 @@ from centroaffine import (
     spectral_derivative,
 )
 from centroaffine.curves import DELTA_DIFFEO
+from centroaffine.errors import InvariantViolation
 from centroaffine.sampling import (
+    _hull,
     near_regular_polygon,
     random_convex_polygon_table,
     random_diffeo,
@@ -81,6 +83,58 @@ def test_random_convex_polygon_table(rng):
         # strict convexity, counterclockwise
         e = np.roll(v, -1, axis=0) - v
         assert np.min(area_form(e, np.roll(e, -1, axis=0))) > 0.0
+
+
+class _FixedCloud:
+    """Stands in for a Generator whose every normal draw is the same cloud."""
+
+    def __init__(self, cloud):
+        self.cloud = np.asarray(cloud, dtype=float)
+
+    def normal(self, size):
+        return self.cloud.copy()
+
+
+class TestHull:
+    def test_matches_qhull_up_to_rotation(self):
+        spatial = pytest.importorskip("scipy.spatial")
+        for seed in range(200):
+            rng = rng_from_seed(seed)
+            cloud = rng.normal(size=(3 + seed % 30, 2))
+            want = spatial.ConvexHull(cloud).vertices
+            got = _hull(cloud)
+            assert got.shape == want.shape
+            start = int(np.flatnonzero(want == got[0])[0])
+            np.testing.assert_array_equal(got, np.roll(want, -start))
+
+    def test_drops_repeated_and_edge_points(self):
+        square = [[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]]
+        cloud = np.array(square + square + [[1.0, 0.0], [2.0, 1.0], [1.0, 1.0]])
+        got = _hull(cloud)
+        np.testing.assert_array_equal(cloud[got], np.array(square))
+
+    def test_collinear_cloud_has_two_ends(self):
+        t = np.array([0.3, -1.0, 2.0, 0.5, 2.0])
+        got = _hull(np.column_stack([t, 2.0 * t + 1.0]))
+        assert sorted(t[got]) == [-1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "cloud",
+        [
+            [[0.0, 1.0], [1.0, 3.0], [-2.0, -3.0], [0.5, 2.0]],
+            [[0.5, 0.5]] * 5,
+        ],
+        ids=["collinear", "one-point"],
+    )
+    def test_degenerate_cloud_is_refused(self, cloud):
+        with pytest.raises(InvariantViolation):
+            random_convex_polygon_table(_FixedCloud(cloud), len(cloud))
+
+    def test_duplicates_give_a_strictly_convex_table(self):
+        tri = [[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]
+        cloud = tri + tri + [[1.0, 1.0], [1.5, 0.0]]
+        tab = random_convex_polygon_table(_FixedCloud(cloud), len(cloud))
+        np.testing.assert_array_equal(tab.vertices, np.array(tri) - 1.0)
 
 
 def test_random_support_table(rng):
