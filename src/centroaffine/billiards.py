@@ -146,7 +146,15 @@ class _SmoothStepper:
 
 
 def _billiard_map(table: ConvexTable) -> Callable[[np.ndarray], np.ndarray]:
-    """The outer billiard map F of one table, with its per-table data built once."""
+    """The outer billiard map F of one table, with its per-table data built once.
+
+    On a polygon, side[i] is the signed distance from x to the line of edge
+    i, negative exactly on the edges that face x.  Those edges form one
+    chain, and F reflects x in the vertex P_i where the chain ends: edge i-1
+    faces x and edge i does not.  This is the discrete twin of
+    _SmoothStepper.tangency, where h turns from negative to positive.  The
+    singular set is where x lies on the line of edge i-1 or edge i.
+    """
     if table.kind == "smooth":
         return _SmoothStepper(table.support).step
     pts = table.vertices
@@ -155,26 +163,16 @@ def _billiard_map(table: ConvexTable) -> Callable[[np.ndarray], np.ndarray]:
 
     def step(x: np.ndarray) -> np.ndarray:
         scale = max(1.0, float(np.hypot(x[0], x[1])))
-        if np.min(area_form(edges, x[None, :] - pts) / lengths) > -EPS_OUTSIDE * scale:
+        side = area_form(edges, x[None, :] - pts) / lengths
+        if np.min(side) > -EPS_OUTSIDE * scale:
             raise InteriorPoint(_INSIDE)
-        d = pts - x[None, :]
-        norms = np.hypot(d[:, 0], d[:, 1])
-        cross = d[:, 0][:, None] * d[:, 1][None, :] - d[:, 1][:, None] * d[:, 0][None, :]
-        cross = cross / (norms[:, None] * norms[None, :])
-        np.fill_diagonal(cross, np.inf)
-        margins = np.min(cross, axis=1)
-        best = int(np.argmax(margins))
-        # the margin is a sine; scale it to the distance from x to the line
-        # through P_best and the vertex that sets it
-        j = int(np.argmin(cross[best]))
-        gap = pts[j] - pts[best]
-        dist = margins[best] * norms[best] * norms[j] / math.hypot(gap[0], gap[1])
-        if dist <= EPS_SINGULAR * scale:
+        ends = np.nonzero(np.roll(side < 0.0, 1) & (side >= 0.0))[0]
+        if ends.size != 1 or min(-side[ends[0] - 1], side[ends[0]]) <= EPS_SINGULAR * scale:
             raise UndefinedOnSingularSet(
                 "two table vertices are collinear with the point; the tangency "
                 "vertex is ambiguous"
             )
-        return 2.0 * pts[best] - x
+        return 2.0 * pts[ends[0]] - x
 
     return step
 
@@ -233,15 +231,11 @@ def far_field_curve(table: ConvexTable) -> FarFieldCurve:
         )
     sym = central_symmetrize(table.support)
     p = sym.values
-    units = np.column_stack([np.cos(sym.grid), np.sin(sym.grid)])
     tangents = np.column_stack([-np.sin(sym.grid), np.cos(sym.grid)])
-    gamma = tangents / p[:, None]
-    dp = sym.derivative(1)
-    boundary = p[:, None] * units + dp[:, None] * tangents
     return FarFieldCurve(
         kind="smooth",
-        points=gamma,
-        speeds=-2.0 * boundary,
+        points=tangents / p[:, None],
+        speeds=-2.0 * sym.boundary_points(),
         table_area=float(sym.area()),
         farfield_area=float(0.5 * TWO_PI * np.mean(1.0 / p**2)),
         symmetrized=sym,

@@ -37,6 +37,11 @@ from .planar import StarPolygon
 from .reports import Report, sweep_csv_bytes
 
 
+# billiard-orbit holds the whole orbit and its JSON report (about 67 bytes a
+# step) in memory, so its length is capped.
+MAX_ORBIT_STEPS = 1_000_000
+
+
 class _UsageError(Exception):
     pass
 
@@ -44,6 +49,13 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _load_json(path: str) -> dict:
@@ -127,8 +139,6 @@ def _cmd_polygon_min(args) -> Report:
     n = args.n
     if n is None or n < 3:
         raise ConfigError("polygon-min needs --n >= 3")
-    if args.trials < 1:
-        raise ConfigError("polygon-min needs --trials >= 1")
     rng = sampling.rng_from_seed(args.seed)
     best = None
     all_converged = True
@@ -163,8 +173,6 @@ def _cmd_bs_check(args) -> Report:
     else:
         if args.n is None or args.n < 3:
             raise ConfigError("bs-check needs --n >= 3 or --in FILE")
-        if args.trials < 1:
-            raise ConfigError("bs-check needs --trials >= 1")
         rng = sampling.rng_from_seed(args.seed)
         polys = [
             sampling.random_star_polygon(args.n, rng) for _ in range(args.trials)
@@ -220,8 +228,6 @@ def _cmd_hessian_scan(args) -> Report:
 
 
 def _cmd_schwarzian_check(args) -> Report:
-    if args.trials < 1:
-        raise ConfigError("schwarzian-check needs --trials >= 1")
     rng = sampling.rng_from_seed(args.seed)
     identity_value = curves.average_schwarzian(curves.DiffeoCurve({}))
     max_avg = identity_value
@@ -282,6 +288,8 @@ def _parse_point(text: str) -> np.ndarray:
 
 
 def _cmd_billiard_orbit(args) -> Report:
+    if not 0 <= args.steps <= MAX_ORBIT_STEPS:
+        raise ConfigError(f"--steps must be between 0 and {MAX_ORBIT_STEPS}")
     table, spec = _resolve_table(args)
     x0 = _parse_point(args.x0)
     inputs = {"table": spec, "x0": x0, "steps": args.steps}
@@ -359,8 +367,6 @@ def _cmd_abstime(args) -> Report:
 
 
 def _cmd_chord_check(args) -> Report:
-    if args.trials < 1:
-        raise ConfigError("chord-check needs --trials >= 1")
     rng = sampling.rng_from_seed(args.seed)
     offsets = 2.0 * math.pi * np.arange(1, 9) / 9.0
     worst_loop = math.inf
@@ -411,7 +417,9 @@ def _build_parser() -> _Parser:
         if flags.get("grid"):
             p.add_argument("--grid", type=int, default=flags["grid"][0], help=flags["grid"][1])
         if flags.get("trials"):
-            p.add_argument("--trials", type=int, default=flags["trials"][0], help=flags["trials"][1])
+            p.add_argument(
+                "--trials", type=_positive_int, default=flags["trials"][0], help=flags["trials"][1]
+            )
         if flags.get("seed"):
             p.add_argument("--seed", type=int, default=0, help="RNG seed (PCG64)")
         if flags.get("table"):

@@ -14,20 +14,13 @@ from typing import Any
 import numpy as np
 
 
-def _sanitize(value):
-    if isinstance(value, dict):
-        return {str(k): _sanitize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize(v) for v in value]
+def _json_default(value):
+    """Numpy values for json.dumps; np.float64 is a float and never gets here."""
     if isinstance(value, np.ndarray):
-        return [_sanitize(v) for v in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 @dataclass
@@ -43,18 +36,20 @@ class Report:
     wall_time_s: float = 0.0
 
     def payload(self) -> dict[str, Any]:
-        """JSON-ready dict; excludes wall time so output bytes are reproducible."""
+        """Report fields; wall time is left out so the output bytes are reproducible."""
         return {
             "command": self.command,
-            "inputs": _sanitize(self.inputs),
-            "results": _sanitize(self.results),
-            "bounds": _sanitize(self.bounds),
+            "inputs": self.inputs,
+            "results": self.results,
+            "bounds": self.bounds,
             "satisfied": self.satisfied,
-            "flags": _sanitize(self.flags),
+            "flags": self.flags,
         }
 
     def to_json_bytes(self) -> bytes:
-        text = json.dumps(self.payload(), sort_keys=True, indent=2, allow_nan=False)
+        text = json.dumps(
+            self.payload(), sort_keys=True, indent=2, allow_nan=False, default=_json_default
+        )
         return (text + "\n").encode()
 
     @property

@@ -120,6 +120,84 @@ class TestStep:
         assert np.max(np.abs(mid)) == pytest.approx(1.0, abs=1e-12)
 
 
+def _reference_polygon_step(pts: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """F(x) by the rule that compares the sines between all n x n sight lines.
+
+    The tangency vertex is the one whose smallest sine to the other sight
+    lines is largest; that sine, scaled to the distance from x to the line
+    through the vertex and its neighbour, is the singular test.
+    """
+    scale = max(1.0, float(np.hypot(x[0], x[1])))
+    d = pts - x[None, :]
+    norms = np.hypot(d[:, 0], d[:, 1])
+    cross = d[:, 0][:, None] * d[:, 1][None, :] - d[:, 1][:, None] * d[:, 0][None, :]
+    cross = cross / (norms[:, None] * norms[None, :])
+    np.fill_diagonal(cross, np.inf)
+    margins = np.min(cross, axis=1)
+    best = int(np.argmax(margins))
+    j = int(np.argmin(cross[best]))
+    gap = pts[j] - pts[best]
+    dist = margins[best] * norms[best] * norms[j] / math.hypot(gap[0], gap[1])
+    if dist <= 1e-12 * scale:
+        raise UndefinedOnSingularSet("two table vertices are collinear with the point")
+    return 2.0 * pts[best] - x
+
+
+def _ellipse_48gon() -> np.ndarray:
+    t = TWO_PI * (np.arange(48) + 0.5) / 48
+    c, s = math.cos(0.3), math.sin(0.3)
+    return np.column_stack([1.5 * np.cos(t), 0.8 * np.sin(t)]) @ np.array([[c, s], [-s, c]])
+
+
+class TestPolygonTangency:
+    @pytest.mark.parametrize("table_seed", ["triangle", "square", 1, 2, 3])
+    def test_edge_chain_rule_matches_sight_line_matrix(self, rng, table_seed):
+        if isinstance(table_seed, str):
+            table = named_table(table_seed)
+        else:
+            table = random_convex_polygon_table(np.random.default_rng(table_seed))
+        pts = table.vertices
+        edges = np.roll(pts, -1, axis=0) - pts
+        lengths = np.hypot(edges[:, 0], edges[:, 1])
+        checked = 0
+        for _ in range(400):
+            r = math.exp(rng.uniform(math.log(1.5), math.log(1e4)))
+            theta = rng.uniform(0.0, TWO_PI)
+            x = r * np.array([math.cos(theta), math.sin(theta)])
+            side = area_form(edges, x[None, :] - pts) / lengths
+            if np.min(side) >= 0.0 or np.min(np.abs(side)) <= 1e-9 * r:
+                continue
+            assert np.array_equal(outer_billiard_step(table, x), _reference_polygon_step(pts, x))
+            checked += 1
+        assert checked >= 300
+
+    @pytest.mark.parametrize("radius", [1e4, 1e5])
+    def test_point_on_an_edge_line_far_away_is_singular(self, radius):
+        # behind each edge, on its line, P_k is the tangency vertex and P_k+1
+        # sits on the same sight line; the point is about 1e-12 off the line
+        # by rounding, far inside the threshold 1e-12 * radius
+        pts = _ellipse_48gon()
+        table = polygon_table(pts)
+        edges = np.roll(pts, -1, axis=0) - pts
+        units = edges / np.hypot(edges[:, 0], edges[:, 1])[:, None]
+        for start, unit in zip(pts, units):
+            with pytest.raises(UndefinedOnSingularSet):
+                outer_billiard_step(table, start - radius * unit)
+
+    def test_point_far_off_an_edge_line_is_regular(self):
+        # 1e-5 off the line is 100 times the threshold 1e-12 * 1e5
+        pts = _ellipse_48gon()
+        table = polygon_table(pts)
+        edges = np.roll(pts, -1, axis=0) - pts
+        units = edges / np.hypot(edges[:, 0], edges[:, 1])[:, None]
+        normals = np.column_stack([-units[:, 1], units[:, 0]])
+        for start, unit, normal in zip(pts, units, normals):
+            for offset in (1e-5, -1e-5):
+                x = start - 1e5 * unit + offset * normal
+                y = outer_billiard_step(table, x)
+                assert np.min(np.hypot(*(0.5 * (x + y) - pts).T)) < 1e-10
+
+
 def _reference_tangency(support: SupportBody, x: np.ndarray) -> float:
     """Tangency parameter by the rule that refines every sign change of h.
 

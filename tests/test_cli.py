@@ -188,8 +188,18 @@ class TestUsageErrors:
         rc, _, _ = run_cli(capsys, ["bs-check"])
         assert rc == 1
 
+    @pytest.mark.parametrize("steps", ["-1", "1000001", "1000000000000"])
+    def test_orbit_steps_out_of_range(self, capsys, steps):
+        rc, out, err = run_cli(
+            capsys, ["billiard-orbit", "--table", "square", "--x0", "2.5,0.7", "--steps", steps]
+        )
+        assert rc == 1
+        assert out == ""
+        assert "--steps" in err
+
     @pytest.mark.parametrize(
-        "command", ["polygon-min", "bs-check", "chord-check", "schwarzian-check"]
+        "command",
+        ["polygon-min", "bs-check", "chord-check", "schwarzian-check", "conjecture-search"],
     )
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_trials_below_one(self, capsys, command, trials):
@@ -209,15 +219,17 @@ class TestUsageErrors:
         assert "--x0" in err
 
     def test_non_finite_payload_is_an_error(self, capsys, monkeypatch):
-        def handler(args):
-            return Report(command="abstime", results={"value": math.nan}, satisfied=True)
+        for value in (math.nan, np.float64(np.inf), np.float32(np.nan), np.array([1.0, -np.inf])):
 
-        monkeypatch.setattr(cli, "_cmd_abstime", handler)
-        rc, out, err = run_cli(capsys, ["abstime", "--table", "square"])
-        assert rc == 1
-        assert out == ""
-        assert "not JSON compliant" in err
-        assert "Traceback" not in err
+            def handler(args):
+                return Report(command="abstime", results={"value": value}, satisfied=True)
+
+            monkeypatch.setattr(cli, "_cmd_abstime", handler)
+            rc, out, err = run_cli(capsys, ["abstime", "--table", "square"])
+            assert rc == 1
+            assert out == ""
+            assert "not JSON compliant" in err
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "radii",
