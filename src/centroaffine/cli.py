@@ -76,17 +76,39 @@ def _load_json(path: str) -> dict:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON is nested too deeply") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path} must hold a JSON object")
     return data
+
+
+def _number(value, path: str, what: str) -> float:
+    # bool is an int subclass, but true and false are not numbers in a file
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{path}: {what} must be a number, got {json.dumps(value)[:40]}")
+    return float(value)
+
+
+def _integer(value, path: str, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        raise ParseError(f"{path}: {what} must be an integer, got {json.dumps(value)[:40]}")
+    return int(value)
+
+
+def _points(data: dict, key: str, path: str) -> np.ndarray:
+    try:
+        return np.asarray(data[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: '{key}' must be a rectangular list of numbers") from exc
 
 
 def load_polygon(path: str) -> StarPolygon:
     data = _load_json(path)
     if "vertices" not in data:
         raise ParseError(f"{path}: polygon file needs a 'vertices' field")
-    verts = np.asarray(data["vertices"], dtype=float)
-    if "n" in data and int(data["n"]) != verts.shape[0]:
+    verts = _points(data, "vertices", path)
+    if "n" in data and _integer(data["n"], path, "'n'") != verts.shape[0]:
         raise ParseError(f"{path}: 'n' does not match the vertex count")
     return StarPolygon(verts)
 
@@ -95,13 +117,20 @@ def load_curve(path: str) -> curves.DiffeoCurve:
     data = _load_json(path)
     if "harmonics" not in data:
         raise ParseError(f"{path}: curve file needs a 'harmonics' field")
-    if "half_period" in data and abs(float(data["half_period"]) - math.pi) > 1e-9:
-        raise ParseError(f"{path}: only the half period pi is supported")
+    if "half_period" in data:
+        if abs(_number(data["half_period"], path, "'half_period'") - math.pi) > 1e-9:
+            raise ParseError(f"{path}: only the half period pi is supported")
+    rows = data["harmonics"]
+    if not isinstance(rows, list):
+        raise ParseError(f"{path}: 'harmonics' must be a list of [order, re, im] rows")
     harmonics = {}
-    for row in data["harmonics"]:
-        if len(row) != 3:
+    for row in rows:
+        if not isinstance(row, list) or len(row) != 3:
             raise ParseError(f"{path}: harmonics rows must be [order, re, im]")
-        harmonics[int(row[0])] = complex(float(row[1]), float(row[2]))
+        order = _integer(row[0], path, "a harmonic order")
+        harmonics[order] = complex(
+            _number(row[1], path, "a harmonic's re"), _number(row[2], path, "a harmonic's im")
+        )
     return curves.DiffeoCurve(harmonics)
 
 
@@ -113,11 +142,11 @@ def load_table(spec: str) -> billiards.ConvexTable:
     if kind == "polygon":
         if "vertices" not in data:
             raise ParseError(f"{spec}: polygon table needs 'vertices'")
-        return billiards.polygon_table(np.asarray(data["vertices"], dtype=float))
+        return billiards.polygon_table(_points(data, "vertices", spec))
     if kind == "support":
         if "values" not in data:
             raise ParseError(f"{spec}: support table needs 'values'")
-        return billiards.support_table(np.asarray(data["values"], dtype=float))
+        return billiards.support_table(_points(data, "values", spec))
     raise ParseError(f"{spec}: table kind must be 'polygon' or 'support'")
 
 

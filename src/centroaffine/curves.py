@@ -23,6 +23,7 @@ circle map phi = 2 f, related by k = f'^2 + S(f)/2.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -52,6 +53,52 @@ DELTA_DIFFEO = 0.05
 EPS_SPEED = 1e-6
 # Deficits above this floor count as numerically nonnegative.
 EPS_DEFICIT = 1e-7
+
+
+class _PhaseMemo:
+    """Phase matrices of DiffeoCurve evaluations, shared across instances.
+
+    A phase matrix depends on the points and the orders, never on the
+    coefficients, so a search that builds many packets with the same orders
+    on the same grids needs each matrix once.  Entries are keyed by the
+    frequencies and the raw bytes of the points; the least recently used
+    goes first once either budget is exceeded, and a matrix larger than the
+    byte budget is never stored.
+    """
+
+    def __init__(self, max_entries: int, max_bytes: int):
+        self.max_entries = max_entries
+        self.max_bytes = max_bytes
+        self._entries: OrderedDict[tuple, np.ndarray] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    @staticmethod
+    def _cost(key: tuple, phases: np.ndarray) -> int:
+        return phases.nbytes + len(key[0]) + len(key[2])
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the stored matrices and their keys."""
+        return sum(self._cost(key, phases) for key, phases in self._entries.items())
+
+    def phases(self, series: TrigSeries, t: np.ndarray) -> np.ndarray:
+        key = (series.freq.tobytes(), t.shape, t.tobytes())
+        phases = self._entries.get(key)
+        if phases is not None:
+            self._entries.move_to_end(key)
+            return phases
+        phases = series.phases(t)
+        if self._cost(key, phases) <= self.max_bytes:
+            phases.setflags(write=False)
+            self._entries[key] = phases
+            while len(self._entries) > self.max_entries or self.nbytes > self.max_bytes:
+                self._entries.popitem(last=False)
+        return phases
+
+
+_PHASES = _PhaseMemo(max_entries=16, max_bytes=8 * 2**20)
 
 
 def _check_alpha(alpha: float) -> float:
@@ -96,9 +143,14 @@ class DiffeoCurve:
             )
 
     def angle_map(self, t, order: int = 0):
-        """Evaluate f (order=0) or its derivative f^(order), exactly."""
+        """Evaluate f (order=0) or its derivative f^(order), exactly.
+
+        The phase matrix at t comes from the process-wide ``_PHASES`` memo,
+        so packets with the same orders evaluated at the same points share
+        one matrix; the values do not depend on whether it was memoized.
+        """
         t = np.asarray(t, dtype=float)
-        val = self._series.series(t, order)
+        val = self._series.combine(_PHASES.phases(self._series, t), order)
         if order == 0:
             return t + val
         if order == 1:

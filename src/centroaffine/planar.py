@@ -111,9 +111,15 @@ class TrigSeries:
     """Real trigonometric series f(t) = Re sum_m c_m e^{i m omega t}, omega = 2 pi / period.
 
     ``orders`` lists the (possibly sparse) orders m and ``coeffs`` their
-    complex coefficients, already weighted, with shape (K,) or (K, d).  The
-    frequencies i omega m are computed once, so evaluating f or a derivative
-    at arbitrary points is one complex matrix product.
+    complex coefficients, already weighted, with shape (K,) or (K, d).
+    Evaluation is one product of the phase matrix e^{i omega m t} with the
+    coefficients, weighted by (i omega m)^order for a derivative.  The phase
+    matrix depends only on the points and the orders, so a caller that
+    evaluates several series, derivatives or coefficient sets at one point
+    set builds it once with ``phases`` and applies ``combine`` to each.  A
+    series whose orders are a slice of another's reads the same slice of
+    its columns; that keeps the bits, while zero-padding the coefficients
+    to the longer order list does not.
     """
 
     def __init__(self, orders, coeffs, period: float):
@@ -134,19 +140,29 @@ class TrigSeries:
         weights[0] = weights[-1] = 1.0
         return cls(np.arange(coeffs.shape[0]), _per_mode(weights, coeffs) * coeffs, period)
 
-    def series(self, t, order: int = 0):
-        """f (order 0) or its derivative of the given order at the points t."""
+    def phases(self, t) -> np.ndarray:
+        """The matrix e^{i omega m t}, one row per point and one column per order."""
+        out = np.multiply.outer(t, self.freq)
+        return np.exp(out, out=out)
+
+    def combine(self, phases: np.ndarray, order: int = 0):
+        """f (order 0) or its derivative of the given order from ``phases(t)``."""
         coeffs = self.coeffs
         if order:
             coeffs = _per_mode(self.freq**order, coeffs) * coeffs
-        return (np.exp(np.multiply.outer(t, self.freq)) @ coeffs).real
+        return (phases @ coeffs).real
+
+    def series(self, t, order: int = 0):
+        """f (order 0) or its derivative of the given order at the points t."""
+        return self.combine(self.phases(t), order)
 
     def antiderivative(self) -> "TrigSeries":
         """Series whose derivative is f without its mean and Nyquist modes.
 
         For a series from ``from_samples`` the first mode is the mean, which
         has no periodic antiderivative, and the last is the Nyquist mode,
-        whose antiderivative the samples do not determine; both are dropped.
+        whose antiderivative the samples do not determine; both are dropped,
+        so its phase matrix is columns 1:-1 of the original's.
         """
         coeffs = self.coeffs[1:-1]
         freq = self.freq[1:-1]
@@ -168,7 +184,19 @@ def resample_by_density(density, period: float, n_out: int) -> np.ndarray:
 
     Returns theta_0 = 0 <= theta_1 <= ... < period such that the running
     integral of ``density`` reaches j/n_out of its total at theta_j.  Used to
-    re-parameterize curves by arclength or by swept area.
+    re-parameterize curves by arclength or by swept area.  Each Newton
+    iterate builds one phase matrix, which gives both the density and, as
+    columns 1:-1, its antiderivative; the previous iterate's matrix is
+    freed first, so at most one n_out x (N/2 + 1) matrix is alive.
+    """
+    return _resample_with_phases(density, period, n_out)[0]
+
+
+def _resample_with_phases(density, period: float, n_out: int):
+    """``resample_by_density`` and the phase matrix of the density's series at its result.
+
+    Any series from samples on the same grid as ``density`` can be evaluated
+    at the resampled points from that matrix with ``combine``.
     """
     series = TrigSeries.from_samples(density, period)
     if np.min(density) <= 0:
@@ -178,12 +206,14 @@ def resample_by_density(density, period: float, n_out: int) -> np.ndarray:
     wiggle0 = wiggle.series(0.0)
     targets = mean * period * np.arange(n_out) / n_out
     theta = period * np.arange(n_out) / n_out
-    for _ in range(50):
-        val = mean * theta + (wiggle.series(theta) - wiggle0) - targets
-        if np.max(np.abs(val)) < 1e-13 * mean * period:
+    for step in range(51):
+        phases = None  # free the previous iterate's matrix before building the next
+        phases = series.phases(theta)
+        val = mean * theta + (wiggle.combine(phases[:, 1:-1]) - wiggle0) - targets
+        if step == 50 or np.max(np.abs(val)) < 1e-13 * mean * period:
             break
-        theta = theta - val / series.series(theta)
-    return theta
+        theta = theta - val / series.combine(phases)
+    return theta, phases
 
 
 @dataclass(frozen=True)

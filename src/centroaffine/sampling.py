@@ -23,8 +23,8 @@ from .planar import (
     StarPolygon,
     sl2_apply,
     spectral_derivative,
-    trig_interp,
-    resample_by_density,
+    TrigSeries,
+    _resample_with_phases,
 )
 from .polygons import (
     RayConfiguration,
@@ -197,7 +197,9 @@ def random_unit_speed_loop(
     r = 1.0 + (scale * amp) @ np.cos(np.multiply.outer(orders, t) + phases[:, None])
     pts = r[:, None] * np.column_stack([np.cos(t), np.sin(t)])
     speed = np.hypot(*spectral_derivative(pts, TWO_PI, 1).T)
-    theta = resample_by_density(speed, TWO_PI, grid)
-    resampled = trig_interp(pts, TWO_PI, theta)
+    # the points share the speed's grid, so the resample's last phase matrix
+    # also interpolates them at the new parameters
+    _, at_arclength = _resample_with_phases(speed, TWO_PI, grid)
+    resampled = TrigSeries.from_samples(pts, TWO_PI).combine(at_arclength)
     length = TWO_PI * float(np.mean(speed))
     return resampled * (TWO_PI / length)

@@ -1,5 +1,7 @@
 """End-to-end checks of the batch interface: exit codes, payloads, loaders."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -7,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from centroaffine import cli
 from centroaffine.polygons import regular_polygon
@@ -339,6 +343,122 @@ class TestInputErrors:
         rc, _, err = run_cli(capsys, ["abstime", "--in", path])
         assert rc == 1
         assert "kind" in err
+
+    @pytest.mark.parametrize(
+        "command, data, message",
+        [
+            ("ialpha-sweep", {"harmonics": 5}, "'harmonics' must be a list"),
+            ("ialpha-sweep", {"harmonics": [5]}, "[order, re, im]"),
+            ("ialpha-sweep", {"harmonics": [[4, [1], 0]]}, "must be a number"),
+            ("ialpha-sweep", {"half_period": None, "harmonics": []}, "'half_period' must be a number"),
+            ("ialpha-sweep", {"harmonics": [[4.5, 0.01, 0.0]]}, "must be an integer"),
+            ("ialpha-sweep", {"harmonics": [[True, 0.01, 0.0]]}, "must be an integer"),
+            ("bs-check", {"n": None, "vertices": [[1, 0], [0, 1], [-1, 0.5]]}, "'n' must be an integer"),
+            ("bs-check", {"n": 3.7, "vertices": [[1, 0], [0, 1], [-1, 0.5]]}, "'n' must be an integer"),
+            ("bs-check", {"vertices": {"x": 1}}, "'vertices' must be"),
+            ("abstime", {"kind": "support", "values": [[1.0], 2.0]}, "'values' must be"),
+        ],
+        ids=[
+            "harmonics-number", "harmonics-row-number", "harmonics-nested-re", "half-period-null",
+            "order-fraction", "order-bool", "n-null", "n-fraction", "vertices-object",
+            "values-ragged",
+        ],
+    )
+    def test_malformed_field_is_a_parse_error(self, capsys, tmp_path, command, data, message):
+        path = write_json(tmp_path / "in.json", data)
+        rc, out, err = run_cli(capsys, [command, "--in", path])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert message in err
+
+    def test_integral_float_order_is_accepted(self, capsys, tmp_path):
+        path = write_json(tmp_path / "c.json", {"harmonics": [[4.0, 0.02, 0.01]]})
+        rc, rep, _ = run_json(capsys, ["ialpha-sweep", "--grid", "4", "--in", path])
+        assert rc == 0
+        assert rep["results"]["min_gap"] >= -1e-7
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        rc, out, err = run_cli(capsys, ["bs-check", "--in", str(path)])
+        assert rc == 1
+        assert out == ""
+        assert "nested too deeply" in err
+
+
+# Arbitrary JSON values, small enough that every example runs in milliseconds.
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-8, 8) | st.floats(-4.0, 4.0) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+POINTS = st.lists(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2), max_size=8)
+ON_CIRCLE = st.lists(st.floats(0.0, 2.0 * math.pi), min_size=3, max_size=8, unique=True).map(
+    lambda angles: [[math.cos(a), math.sin(a)] for a in sorted(angles)]
+)
+REGULAR = st.sampled_from([regular_polygon(k).vertices.tolist() for k in range(3, 8)])
+ROWS = st.lists(
+    st.tuples(
+        st.integers(-2, 12) | st.floats(0.0, 12.0), st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)
+    ).map(list),
+    max_size=4,
+)
+SUPPORT = st.integers(0, 6).flatmap(
+    lambda k: st.lists(st.floats(0.9, 1.1), min_size=2**k, max_size=2**k)
+)
+FUZZ = settings(
+    max_examples=60, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+class TestLoaderFuzz:
+    """Every loader input ends in exit 0 or 2, or in a usage error with a message."""
+
+    @staticmethod
+    def check(tmp_path_factory, data, command, *flags):
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main([command, "--in", str(path), *flags])
+        assert rc in (0, 1, 2)
+        if rc == 1:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith(("error: ", "invalid input: "))
+
+    @FUZZ
+    @given(
+        data=st.fixed_dictionaries(
+            {}, optional={"n": st.integers(0, 9) | ANY_JSON, "vertices": REGULAR | POINTS | ANY_JSON}
+        )
+    )
+    def test_polygon_loader(self, tmp_path_factory, data):
+        self.check(tmp_path_factory, data, "bs-check")
+
+    @FUZZ
+    @given(
+        data=st.fixed_dictionaries(
+            {}, optional={"half_period": st.just(math.pi) | ANY_JSON, "harmonics": ROWS | ANY_JSON}
+        )
+    )
+    def test_curve_loader(self, tmp_path_factory, data):
+        self.check(tmp_path_factory, data, "ialpha-sweep", "--grid", "4")
+
+    @FUZZ
+    @given(
+        data=st.fixed_dictionaries(
+            {},
+            optional={
+                "kind": st.sampled_from(["polygon", "support"]) | ANY_JSON,
+                "vertices": ON_CIRCLE | POINTS | ANY_JSON,
+                "values": SUPPORT | ANY_JSON,
+            },
+        )
+    )
+    def test_table_loader(self, tmp_path_factory, data):
+        self.check(tmp_path_factory, data, "abstime")
 
 
 class TestViolations:
