@@ -187,7 +187,10 @@ def resample_by_density(density, period: float, n_out: int) -> np.ndarray:
     re-parameterize curves by arclength or by swept area.  Each Newton
     iterate builds one phase matrix, which gives both the density and, as
     columns 1:-1, its antiderivative; the previous iterate's matrix is
-    freed first, so at most one n_out x (N/2 + 1) matrix is alive.
+    freed first, so at most one n_out x (N/2 + 1) matrix is alive.  The
+    slice gives the same bits as a matrix built for the antiderivative's
+    orders; padding its coefficients with zeros to the full order list
+    would not.
     """
     return _resample_with_phases(density, period, n_out)[0]
 
