@@ -51,6 +51,9 @@ def kernels() -> dict:
     triangle = billiards._billiard_map(billiards.named_table("triangle"))
     circle = billiards._billiard_map(billiards.named_table("circle"))
     far = np.array([700.0, 714.0])
+    gauge = billiards.gauge_function(sampling.random_support_table(np.random.default_rng(5)))
+    theta = rng.uniform(0.0, planar.TWO_PI, 2000)
+    vectors = rng.uniform(0.5, 2.0, 2000)[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
 
     return {
         "area_form_spectral_derivative_1024": (
@@ -88,6 +91,10 @@ def kernels() -> dict:
         "smooth_step_circle": (
             lambda: circle(far),
             "one outer-billiard step on the 1024-grid circle at radius about 1000",
+        ),
+        "smooth_gauge_1024": (
+            lambda: gauge(vectors),
+            "gauge_function of a 1024-grid random_support_table at 2000 vectors",
         ),
     }
 

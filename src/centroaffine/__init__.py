@@ -19,7 +19,6 @@ from .billiards import (
     far_field_curve,
     far_field_error,
     far_field_flow,
-    farfield_gauge,
     gauge_function,
     kepler_residual,
     minkowski_length,

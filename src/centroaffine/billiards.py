@@ -30,6 +30,7 @@ from .planar import (
     SampledCurve,
     SupportBody,
     TrigSeries,
+    _bracketed_newton,
     _fourier_multiply,
     area_form,
     signed_area,
@@ -37,9 +38,10 @@ from .planar import (
 )
 
 # A point this close to the line through two table vertices, relative to the
-# point scale, is treated as a tangency tie.
+# scale max(|x|, table size), is treated as a tangency tie.  The size is the
+# table's largest distance from the origin, so both tests commute with scaling.
 EPS_SINGULAR = 1e-12
-# Margin for the outside-the-table test, relative to the point scale.
+# Margin for the outside-the-table test, relative to the same scale.
 EPS_OUTSIDE = 1e-12
 _INSIDE = "point is inside the table or on its boundary; the outer billiard map is undefined there"
 
@@ -102,19 +104,21 @@ class _SmoothStepper:
 
     With h(t) = p(t) - <u(t), x> and lambda = <u'(t), x> - p'(t), h' = -lambda,
     so the forward tangency (lambda < 0) is where h crosses from negative to
-    positive.  The grid samples of h pick that one bracket; only it is refined.
+    positive.  The grid samples of h pick that one bracket, and a bracketed
+    Newton on h, with h' from the same phase row, solves it to rounding.
     """
 
     def __init__(self, support: SupportBody):
         self.p = TrigSeries.from_samples(support.values, TWO_PI)
         self.grid = support.grid
         self.values = support.values
+        self.size = float(np.max(support.values))
         self.units = np.column_stack([np.cos(self.grid), np.sin(self.grid)])
 
     def tangency(self, x: np.ndarray) -> float:
         """Parameter of the tangent point with the table left of the ray x -> P."""
         h = self.values - self.units @ x
-        scale = max(1.0, float(np.hypot(x[0], x[1])))
+        scale = max(self.size, float(np.hypot(x[0], x[1])))
         if float(np.min(h)) > -EPS_OUTSIDE * scale:
             raise InteriorPoint(_INSIDE)
         sign = np.where(h == 0.0, 1e-300, h)
@@ -124,15 +128,13 @@ class _SmoothStepper:
                 f"found {rises.size} forward tangencies instead of 1; the point "
                 "sits on the singular set of the map"
             )
-        lo = self.grid[rises[0]]
-        hi = lo + TWO_PI / self.values.shape[0]
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            if self.p.series(mid) - (math.cos(mid) * x[0] + math.sin(mid) * x[1]) > 0.0:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+
+        def rise(t, p, dp, _):
+            cos, sin = np.cos(t), np.sin(t)
+            return p - (cos * x[0] + sin * x[1]), dp + (sin * x[0] - cos * x[1])
+
+        lo = self.grid[rises[:1]]
+        return float(_bracketed_newton(self.p, rise, lo, lo + TWO_PI / self.values.shape[0])[0])
 
     def boundary_point(self, t: float) -> np.ndarray:
         p = self.p.series(t)
@@ -160,9 +162,10 @@ def _billiard_map(table: ConvexTable) -> Callable[[np.ndarray], np.ndarray]:
     pts = table.vertices
     edges = np.roll(pts, -1, axis=0) - pts
     lengths = np.hypot(edges[:, 0], edges[:, 1])
+    size = float(np.max(np.hypot(pts[:, 0], pts[:, 1])))
 
     def step(x: np.ndarray) -> np.ndarray:
-        scale = max(1.0, float(np.hypot(x[0], x[1])))
+        scale = max(size, float(np.hypot(x[0], x[1])))
         side = area_form(edges, x[None, :] - pts) / lengths
         if np.min(side) > -EPS_OUTSIDE * scale:
             raise InteriorPoint(_INSIDE)
@@ -342,28 +345,6 @@ def absolute_time(table: ConvexTable, tol: float = 1e-9) -> AbsoluteTimeReport:
     )
 
 
-def farfield_gauge(far: FarFieldCurve, w) -> float:
-    """Minkowski gauge of w in the body bounded by Gamma: max_t [gamma_bar, w]."""
-    w = np.asarray(w, dtype=float).reshape(2)
-    if far.kind == "polygon":
-        return float(np.max(area_form(far.symmetrized, w[None, :])))
-    boundary = -0.5 * far.speeds
-    vals = area_form(boundary, w[None, :])
-    return float(_refined_max(vals[:, None])[0])
-
-
-def _refined_max(vals: np.ndarray) -> np.ndarray:
-    """Parabolic refinement of the grid maximum of each column of smooth periodic samples."""
-    i = np.argmax(vals, axis=0)
-    cols = np.arange(vals.shape[1])
-    v0 = vals[i, cols]
-    vm = vals[(i - 1) % vals.shape[0], cols]
-    vp = vals[(i + 1) % vals.shape[0], cols]
-    denom = 2.0 * v0 - vm - vp
-    bump = np.where(denom > 0.0, (vp - vm) ** 2 / np.where(denom > 0.0, 8.0 * denom, 1.0), 0.0)
-    return v0 + bump
-
-
 def _dist_to_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     """Euclidean distance from each point to the boundary of a closed polygon.
 
@@ -409,7 +390,7 @@ def far_field_error(table: ConvexTable, radius: float, direction=None) -> FarFie
     d = d / np.hypot(d[0], d[1])
     far = far_field_curve(table)
     x0 = radius * d
-    lam = farfield_gauge(far, x0)
+    lam = float(gauge_function(far)(x0)[0])
     expected = lam * 0.5 * far.farfield_area
     max_steps = int(math.ceil(2.0 * expected)) + 64
     step = _billiard_map(table)
@@ -448,18 +429,46 @@ def far_field_error(table: ConvexTable, radius: float, direction=None) -> FarFie
 def gauge_function(ball):
     """Minkowski functional of a convex body containing the origin.
 
-    Accepts a ConvexTable, a SupportBody, or a polygon vertex array, and
-    returns a callable mapping an (M, 2) array of vectors to their gauges.
+    Accepts a ConvexTable, a SupportBody, a polygon vertex array, or a
+    FarFieldCurve for the body bounded by Gamma, and returns a callable
+    mapping an (M, 2) array of vectors to their gauges, exact to rounding.
+    Gamma's gauge max_t [gamma_bar(t), w] is the support function of the
+    symmetrized table at (w_y, -w_x).  A support body's max_t <u, w> / p is
+    where N = <u', w> p - <u, w> p' falls through zero, N' = -<u, w>(p + p'').
     """
     if isinstance(ball, ConvexTable):
         ball = ball.vertices if ball.kind == "polygon" else ball.support
-    if isinstance(ball, SupportBody):
-        p = ball.values
-        units = np.column_stack([np.cos(ball.grid), np.sin(ball.grid)])
+    if isinstance(ball, FarFieldCurve) and ball.kind == "polygon":
 
         def gauge(vectors: np.ndarray) -> np.ndarray:
             vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-            return _refined_max((units @ vectors.T) / p[:, None])
+            return np.max(area_form(ball.symmetrized, vectors[:, None, :]), axis=1)
+
+        return gauge
+    if isinstance(ball, FarFieldCurve):
+        support = TrigSeries.from_samples(ball.symmetrized.values, TWO_PI)
+
+        def gauge(vectors: np.ndarray) -> np.ndarray:
+            w = np.atleast_2d(np.asarray(vectors, dtype=float))
+            return np.hypot(w[:, 0], w[:, 1]) * support.series(np.arctan2(-w[:, 0], w[:, 1]))
+
+        return gauge
+    if isinstance(ball, SupportBody):
+        p = TrigSeries.from_samples(ball.values, TWO_PI)
+
+        def gauge(vectors: np.ndarray) -> np.ndarray:
+            w = np.atleast_2d(np.asarray(vectors, dtype=float))
+
+            def rise(t, val, d1, d2):  # -N and -N'
+                cos, sin = np.cos(t), np.sin(t)
+                along = cos * w[:, 0] + sin * w[:, 1]
+                across = cos * w[:, 1] - sin * w[:, 0]
+                return along * d1 - across * val, along * (val + d2)
+
+            # <u, w> > 0 on this half circle, so N falls from |w| p to -|w| p through one root
+            arg = np.arctan2(w[:, 1], w[:, 0])
+            t = _bracketed_newton(p, rise, arg - 0.5 * math.pi, arg + 0.5 * math.pi)
+            return (np.cos(t) * w[:, 0] + np.sin(t) * w[:, 1]) / p.series(t)
 
         return gauge
     pts = np.asarray(ball, dtype=float)

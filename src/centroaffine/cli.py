@@ -97,10 +97,15 @@ def _integer(value, path: str, what: str) -> int:
 
 
 def _points(data: dict, key: str, path: str) -> np.ndarray:
+    message = f"{path}: '{key}' must be a rectangular list of numbers"
     try:
-        return np.asarray(data[key], dtype=float)
+        pts = np.asarray(data[key], dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: '{key}' must be a rectangular list of numbers") from exc
+        raise ParseError(message) from exc
+    # float() also takes "1.5", true and null; the loader gives numbers as int or float
+    if any(type(x) not in (int, float) for x in np.asarray(data[key], dtype=object).reshape(-1)):
+        raise ParseError(message)
+    return pts
 
 
 def load_polygon(path: str) -> StarPolygon:

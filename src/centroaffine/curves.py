@@ -327,7 +327,7 @@ def hessian_mode_value(order: int, alpha: float) -> HessianMode:
     """Closed form for the quadratic part of I(alpha) - sin(alpha).
 
     Perturbing the circle by the single harmonic z_n e^{int} changes the
-    functional by (pi/2) |z_n|^2 f_n(alpha) + O(|z_n|^3) with
+    functional by (1/2) |z_n|^2 f_n(alpha) + O(|z_n|^3) with
 
         f_n = (3n^2-4) sin a + (n^2+4) sin a cos na - 4n cos a sin na.
 

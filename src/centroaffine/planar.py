@@ -174,6 +174,29 @@ def _per_mode(factor: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return factor.reshape(factor.shape + (1,) * (coeffs.ndim - 1))
 
 
+def _bracketed_newton(series: TrigSeries, rise, lo, hi) -> np.ndarray:
+    """Roots of g in the brackets [lo, hi], one per row, where g rises through zero.
+
+    ``rise(t, f, f', f'')`` gives g and g' from the series and its first two
+    derivatives at the (M,) points t, all read off one phase matrix.  A step
+    g / g' that would leave the shrinking bracket bisects it instead.  The
+    iterates stop once every step is below 1e-9 (the roots are angles): the
+    error left after a step s is about s^2 g'' / 2g', below rounding.
+    """
+    t = 0.5 * (lo + hi)
+    for _ in range(64):
+        phases = series.phases(t)
+        g, dg = rise(t, *(series.combine(phases, k) for k in range(3)))
+        lo, hi = np.where(g < 0.0, t, lo), np.where(g > 0.0, t, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = np.where(g == 0.0, t, t - g / dg)
+        new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+        if np.max(np.abs(new - t)) <= 1e-9:
+            return new
+        t = new
+    return t
+
+
 def trig_interp(samples, period: float, t):
     """Evaluate the trigonometric interpolant of periodic samples at points t."""
     return TrigSeries.from_samples(samples, period).series(t)

@@ -15,7 +15,6 @@ from centroaffine import (
     far_field_curve,
     far_field_error,
     far_field_flow,
-    farfield_gauge,
     gauge_function,
     kepler_residual,
     minkowski_length,
@@ -110,6 +109,20 @@ class TestStep:
         np.testing.assert_array_equal(0.5 * (far + outer_billiard_step(table, far)), pivot)
         with pytest.raises(UndefinedOnSingularSet):
             outer_billiard_step(table, (3e4, 1.0))
+
+    def test_tiny_tables_scale_their_tolerances(self):
+        # F commutes with scaling, and so do its inside and singular verdicts
+        s = 1e-13
+        tri = named_table("triangle")
+        x = np.array([3.0, 0.7])
+        got = outer_billiard_step(polygon_table(s * tri.vertices), s * x)
+        np.testing.assert_allclose(got, s * outer_billiard_step(tri, x), rtol=0.0, atol=1e-13 * s)
+        got = outer_billiard_step(support_table(np.full(1024, s)), (2.0 * s, 0.0))
+        np.testing.assert_allclose(got, [-s, math.sqrt(3.0) * s], rtol=0.0, atol=1e-9 * s)
+        with pytest.raises(UndefinedOnSingularSet):
+            outer_billiard_step(polygon_table(s * SQUARE), (s, -3.0 * s))
+        with pytest.raises(InteriorPoint):
+            outer_billiard_step(polygon_table(s * SQUARE), (0.3 * s, -0.2 * s))
 
     def test_step_is_involutive_reflection(self, rng):
         # F(x) reflects x in the tangency point, so the midpoint lies on the table
@@ -226,22 +239,79 @@ def _reference_tangency(support: SupportBody, x: np.ndarray) -> float:
     return chosen[0]
 
 
+def _extended_series(values: np.ndarray, t, order: int = 0) -> np.ndarray:
+    """Trig interpolant of grid samples, or a derivative, at t in extended precision.
+
+    The coefficients are the double ones TrigSeries.from_samples makes, so
+    this is the same function; the phases e^{imt} are powers of e^{it}
+    taken in np.clongdouble.
+    """
+    coeffs = np.fft.rfft(values) / values.shape[0]
+    coeffs[1:-1] *= 2.0
+    m = np.arange(coeffs.shape[0]).astype(np.longdouble)
+    weighted = coeffs.astype(np.clongdouble) * (1j * m) ** order
+    t = np.atleast_1d(np.asarray(t, dtype=np.longdouble))
+    phases = np.ones((t.shape[0], m.shape[0]), dtype=np.clongdouble)
+    phases[:, 1:] = (np.cos(t) + 1j * np.sin(t))[:, None]
+    return (np.cumprod(phases, axis=1) @ weighted).real
+
+
+def _extended_bisection(rise, lo, hi) -> np.ndarray:
+    """Roots of rise in [lo, hi], rising through zero, by bisection in np.longdouble."""
+    lo = np.asarray(lo, dtype=np.longdouble)
+    hi = np.asarray(hi, dtype=np.longdouble)
+    assert np.all(rise(lo) <= 0.0) and np.all(rise(hi) >= 0.0)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        up = rise(mid) > 0.0
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    return 0.5 * (lo + hi)
+
+
+def _smooth_table(seed):
+    if seed == "circle":
+        return named_table("circle")
+    return random_support_table(np.random.default_rng(seed))
+
+
+ULP = float(np.spacing(TWO_PI))
+
+
 class TestForwardTangency:
     @pytest.mark.parametrize("table_seed", ["circle", 1, 2, 3])
     def test_grid_bracket_matches_refine_both_rule(self, rng, table_seed):
-        if table_seed == "circle":
-            table = named_table("circle")
-        else:
-            table = random_support_table(np.random.default_rng(table_seed))
+        # Newton and the bisection oracle pick the same root and agree to
+        # rounding; t is an angle, so ulps are counted at the period 2 pi
+        table = _smooth_table(table_seed)
         support = table.support
         stepper = _SmoothStepper(support)
         inner = 1.05 * float(np.max(support.values))
         for _ in range(12):
-            r = math.exp(rng.uniform(math.log(inner), math.log(300.0)))
+            r = math.exp(rng.uniform(math.log(inner), math.log(1e4)))
             theta = rng.uniform(0.0, TWO_PI)
             x = r * np.array([math.cos(theta), math.sin(theta)])
-            want = 2.0 * stepper.boundary_point(_reference_tangency(support, x)) - x
-            assert np.array_equal(outer_billiard_step(table, x), want)
+            want_t = _reference_tangency(support, x)
+            assert abs(stepper.tangency(x) - want_t) <= 4 * ULP
+            want = 2.0 * stepper.boundary_point(want_t) - x
+            assert np.max(np.abs(outer_billiard_step(table, x) - want)) <= 1e-13 * r
+
+    @pytest.mark.parametrize("table_seed", ["circle", 1, 2, 3])
+    def test_tangency_is_the_extended_precision_root(self, rng, table_seed):
+        table = _smooth_table(table_seed)
+        stepper = _SmoothStepper(table.support)
+        values = table.support.values
+        inner = 1.05 * float(np.max(values))
+        for _ in range(12):
+            r = math.exp(rng.uniform(math.log(inner), math.log(1e4)))
+            theta = rng.uniform(0.0, TWO_PI)
+            x = (r * np.array([math.cos(theta), math.sin(theta)])).astype(np.longdouble)
+            t = stepper.tangency(x.astype(float))
+
+            def rise(s):
+                return _extended_series(values, s) - (np.cos(s) * x[0] + np.sin(s) * x[1])
+
+            root = _extended_bisection(rise, t - 1e-9, t + 1e-9)[0]
+            assert abs(np.longdouble(t) - root) <= 2 * ULP
 
 
 class TestOrbit:
@@ -374,8 +444,9 @@ class TestFarFieldError:
     def test_gauge_scaling(self):
         far = far_field_curve(named_table("circle"))
         w = np.array([0.3, 0.4])
-        assert farfield_gauge(far, w) == pytest.approx(0.5, abs=1e-9)
-        assert farfield_gauge(far, 2 * w) == pytest.approx(1.0, abs=1e-9)
+        gauge = gauge_function(far)
+        assert gauge(w)[0] == pytest.approx(0.5, abs=1e-9)
+        assert gauge(2 * w)[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def _broadcast_dist(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
@@ -402,6 +473,79 @@ class TestDistToPolygon:
         assert np.array_equal(got, want)
         # the broadcast form needs 2048 * 512 * 2 floats (16 MB) per temporary
         assert peak < 2 * 2**20
+
+
+def _random_vectors(rng, count: int) -> np.ndarray:
+    theta = rng.uniform(0.0, TWO_PI, count)
+    return np.exp(rng.uniform(-3.0, 3.0, count))[:, None] * np.column_stack(
+        [np.cos(theta), np.sin(theta)]
+    )
+
+
+def _extended_support_gauge(values: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """max_t <u(t), w> / p(t) by bisection on its derivative's numerator in np.longdouble."""
+    grid = TWO_PI * np.arange(values.shape[0]) / values.shape[0]
+    units = np.column_stack([np.cos(grid), np.sin(grid)])
+    top = grid[np.argmax((units @ w.T) / values[:, None], axis=0)]
+    w = w.astype(np.longdouble)
+
+    def along(t):
+        return np.cos(t) * w[:, 0] + np.sin(t) * w[:, 1]
+
+    def rise(t):  # -(<u', w> p - <u, w> p')
+        across = np.cos(t) * w[:, 1] - np.sin(t) * w[:, 0]
+        return along(t) * _extended_series(values, t, 1) - across * _extended_series(values, t)
+
+    spacing = TWO_PI / values.shape[0]
+    t = _extended_bisection(rise, top - spacing, top + spacing)
+    return along(t) / _extended_series(values, t)
+
+
+def _extended_farfield_gauge(far, w: np.ndarray) -> np.ndarray:
+    """max_t [gamma_bar(t), w] over the symmetrized table's boundary, in np.longdouble.
+
+    gamma_bar = P u + P' u' has derivative (P + P'') u', so the maximum is a
+    root of (P + P'') [u', w], found by bisection from the grid maximum.
+    """
+    values = far.symmetrized.values
+    grid = far.symmetrized.grid
+    top = grid[np.argmax(area_form(far.symmetrized.boundary_points()[:, None, :], w), axis=0)]
+    w = w.astype(np.longdouble)
+
+    def cross(t, order):  # [u^(order)(t), w]
+        t = t + 0.5 * order * np.pi
+        return np.cos(t) * w[:, 1] - np.sin(t) * w[:, 0]
+
+    def rise(t):
+        curvature = _extended_series(values, t) + _extended_series(values, t, 2)
+        return -curvature * cross(t, 1)
+
+    spacing = TWO_PI / values.shape[0]
+    t = _extended_bisection(rise, top - spacing, top + spacing)
+    return _extended_series(values, t) * cross(t, 0) + _extended_series(values, t, 1) * cross(t, 1)
+
+
+class TestExactGauges:
+    def test_circle_farfield_gauge_is_the_norm(self, rng):
+        w = _random_vectors(rng, 2000)
+        got = gauge_function(far_field_curve(named_table("circle")))(w)
+        assert np.max(np.abs(got / np.hypot(w[:, 0], w[:, 1]) - 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_smooth_gauges_match_extended_reference(self, rng, seed):
+        table = random_support_table(np.random.default_rng(seed))
+        w = _random_vectors(rng, 200)
+        far = far_field_curve(table)
+        want = _extended_farfield_gauge(far, w)
+        assert np.max(np.abs(gauge_function(far)(w) / want - 1.0)) <= 1e-14
+        want = _extended_support_gauge(table.support.values, w)
+        assert np.max(np.abs(gauge_function(table)(w) / want - 1.0)) <= 1e-14
+
+    def test_polygon_farfield_gauge_is_the_largest_vertex_value(self, rng):
+        far = far_field_curve(random_convex_polygon_table(rng))
+        w = _random_vectors(rng, 50)
+        want = [np.max(area_form(far.symmetrized, v[None, :])) for v in w]
+        assert np.array_equal(gauge_function(far)(w), want)
 
 
 class TestMinkowskiGeometry:

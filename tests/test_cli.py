@@ -17,6 +17,7 @@ from centroaffine.polygons import regular_polygon
 from centroaffine.reports import Report
 
 REPORT_KEYS = {"command", "inputs", "results", "bounds", "satisfied", "flags"}
+PENTAGON = regular_polygon(5).vertices.tolist()
 
 
 def run_cli(capsys, argv):
@@ -357,11 +358,20 @@ class TestInputErrors:
             ("bs-check", {"n": 3.7, "vertices": [[1, 0], [0, 1], [-1, 0.5]]}, "'n' must be an integer"),
             ("bs-check", {"vertices": {"x": 1}}, "'vertices' must be"),
             ("abstime", {"kind": "support", "values": [[1.0], 2.0]}, "'values' must be"),
+            ("bs-check", {"vertices": [[str(c) for c in v] for v in PENTAGON]}, "'vertices' must be"),
+            ("bs-check", {"vertices": [[1, 0], [0, True], [-1, 0.5]]}, "'vertices' must be"),
+            ("bs-check", {"vertices": [[1, 0], [0, None], [-1, 0.5]]}, "'vertices' must be"),
+            ("abstime", {"kind": "polygon", "vertices": [[str(c) for c in v] for v in PENTAGON]},
+             "'vertices' must be"),
+            ("abstime", {"kind": "support", "values": ["1.0"] * 64}, "'values' must be"),
+            ("abstime", {"kind": "support", "values": [True] * 64}, "'values' must be"),
+            ("abstime", {"kind": "support", "values": [1.0] * 63 + [None]}, "'values' must be"),
         ],
         ids=[
             "harmonics-number", "harmonics-row-number", "harmonics-nested-re", "half-period-null",
             "order-fraction", "order-bool", "n-null", "n-fraction", "vertices-object",
-            "values-ragged",
+            "values-ragged", "vertices-strings", "vertices-bool", "vertices-null",
+            "table-vertices-strings", "values-strings", "values-bool", "values-null",
         ],
     )
     def test_malformed_field_is_a_parse_error(self, capsys, tmp_path, command, data, message):
@@ -377,6 +387,14 @@ class TestInputErrors:
         rc, rep, _ = run_json(capsys, ["ialpha-sweep", "--grid", "4", "--in", path])
         assert rc == 0
         assert rep["results"]["min_gap"] >= -1e-7
+
+    def test_vertices_nested_past_the_iterator_limit(self, capsys, tmp_path):
+        # numpy builds a 40-dimensional array here but cannot iterate over it
+        path = write_json(tmp_path / "deep.json", {"vertices": json.loads("[" * 40 + "1" + "]" * 40)})
+        rc, out, err = run_cli(capsys, ["bs-check", "--in", path])
+        assert rc == 1
+        assert out == ""
+        assert "vertices must have shape" in err
 
     def test_deeply_nested_json(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

@@ -153,6 +153,16 @@ class TestHessianModes:
         spread = np.max(np.abs(ratios / np.mean(ratios) - 1.0))
         assert spread < 1e-3
 
+    def test_closed_form_constant_is_one_half(self):
+        # (I - sin a) / (|z|^2 f_n) -> 1/2 as the single harmonic z e^{int} shrinks
+        for order in (4, 6, 8):
+            for alpha in (0.7, 1.9):
+                closed = hessian_mode_value(order, alpha).value
+                for rho in (2e-3, 1e-3, 5e-4):
+                    z = rho * complex(0.6, 0.8)
+                    excess = area_functional(DiffeoCurve({order: z}), alpha) - math.sin(alpha)
+                    assert abs(excess / (rho * rho * closed) - 0.5) <= 0.5 * rho
+
     def test_eps_window_enforced(self):
         with pytest.raises(InvariantViolation):
             hessian_mode_numeric(4, 1.0, eps=1e-6)
