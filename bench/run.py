@@ -48,9 +48,18 @@ def kernels() -> dict:
     poly = sampling.random_star_polygon(81, rng).vertices.copy()
     rays = sampling.random_ray_configuration(21, rng)
 
-    triangle = billiards._billiard_map(billiards.named_table("triangle"))
+    triangle_table = billiards.named_table("triangle")
+    triangle = billiards._billiard_map(triangle_table)
     circle = billiards._billiard_map(billiards.named_table("circle"))
     far = np.array([700.0, 714.0])
+    ang = planar.TWO_PI * (np.arange(48) + 0.5) / 48
+    c, s = math.cos(0.3), math.sin(0.3)
+    ellipse48 = np.column_stack([1.5 * np.cos(ang), 0.8 * np.sin(ang)]) @ np.array([[c, s], [-s, c]])
+    polygon48 = billiards._billiard_map(billiards.polygon_table(ellipse48))
+    orbit48 = [far]
+
+    def step48():
+        orbit48[0] = polygon48(orbit48[0])
     gauge = billiards.gauge_function(sampling.random_support_table(np.random.default_rng(5)))
     theta = rng.uniform(0.0, planar.TWO_PI, 2000)
     vectors = rng.uniform(0.5, 2.0, 2000)[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
@@ -86,7 +95,15 @@ def kernels() -> dict:
         ),
         "polygon_step_triangle": (
             lambda: triangle(far),
-            "one outer-billiard step on the triangle at radius about 1000",
+            "one outer-billiard step on the triangle at radius about 1000, from the same point each call",
+        ),
+        "polygon_step_48gon": (
+            step48,
+            "one outer-billiard step on an ellipse 48-gon, each call from where the last one ended (radius about 1000)",
+        ),
+        "far_field_triangle_1e4": (
+            lambda: billiards.far_field_error(triangle_table, 1e4),
+            "far_field_error of the triangle at radius 1e4: one revolution, 39,008 map steps",
         ),
         "smooth_step_circle": (
             lambda: circle(far),

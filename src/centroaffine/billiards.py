@@ -121,8 +121,11 @@ class _SmoothStepper:
         scale = max(self.size, float(np.hypot(x[0], x[1])))
         if float(np.min(h)) > -EPS_OUTSIDE * scale:
             raise InteriorPoint(_INSIDE)
-        sign = np.where(h == 0.0, 1e-300, h)
-        rises = np.nonzero((sign < 0.0) & (np.roll(sign, -1) > 0.0))[0]
+        # h rises through zero from node j to node j + 1, the last node wrapping to the first
+        neg, up = h < 0.0, h >= 0.0
+        rises = np.flatnonzero(neg[:-1] & up[1:])
+        if neg[-1] and up[0]:
+            rises = np.append(rises, h.shape[0] - 1)
         if rises.size != 1:
             raise UndefinedOnSingularSet(
                 f"found {rises.size} forward tangencies instead of 1; the point "
@@ -137,8 +140,9 @@ class _SmoothStepper:
         return float(_bracketed_newton(self.p, rise, lo, lo + TWO_PI / self.values.shape[0])[0])
 
     def boundary_point(self, t: float) -> np.ndarray:
-        p = self.p.series(t)
-        dp = self.p.series(t, 1)
+        phases = self.p.phases(t)
+        p = self.p.combine(phases)
+        dp = self.p.combine(phases, 1)
         return np.array(
             [p * math.cos(t) - dp * math.sin(t), p * math.sin(t) + dp * math.cos(t)]
         )
@@ -148,34 +152,101 @@ class _SmoothStepper:
 
 
 def _billiard_map(table: ConvexTable) -> Callable[[np.ndarray], np.ndarray]:
-    """The outer billiard map F of one table, with its per-table data built once.
-
-    On a polygon, side[i] is the signed distance from x to the line of edge
-    i, negative exactly on the edges that face x.  Those edges form one
-    chain, and F reflects x in the vertex P_i where the chain ends: edge i-1
-    faces x and edge i does not.  This is the discrete twin of
-    _SmoothStepper.tangency, where h turns from negative to positive.  The
-    singular set is where x lies on the line of edge i-1 or edge i.
-    """
+    """The outer billiard map F of one table, with its per-table data built once."""
     if table.kind == "smooth":
         return _SmoothStepper(table.support).step
-    pts = table.vertices
+    return _polygon_map(table.vertices)
+
+
+# An accepted tangency walk needs both sides at its end this many times the
+# singular threshold away from zero.
+WALK_MARGIN = 1000.0
+# The walk runs only on tables whose edge turns all have at least this sine.
+WALK_MIN_SINE = 1e-4
+# A walk gives up after this many moves, which cost less than half of the
+# full rule's numpy calls on any table.
+WALK_MAX_MOVES = 32
+
+
+def _polygon_map(pts: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """F on a polygon table, warm-started at the vertex two calls back and walked in Python floats.
+
+    side[i] = [e_i, x - P_i] / |e_i| is the signed distance from x to the
+    line of edge i, negative exactly on the edges that face x.  Those edges
+    form one chain, and F reflects x in the vertex P_i where the chain ends:
+    edge i-1 faces x and edge i does not.  This is the discrete twin of
+    _SmoothStepper.tangency, where h turns from negative to positive.  The
+    singular set is where x lies on the line of edge i-1 or edge i.  The
+    walk computes each side in floats by the same IEEE operations, in the
+    same order, as the full rule's area_form(edges, x - pts) / lengths, so
+    the two read the same bits.
+
+    F^2 moves a far point little, so the chain ends near where it ended two
+    calls back.  From there the walk goes forward while edge i faces x and
+    back while edge i-1 does not, and accepts i if side[i-1] < -tau and
+    side[i] > tau, tau = WALK_MARGIN * EPS_SINGULAR * scale.  The full rule
+    below reads the same computed sides; it could answer otherwise only with
+    a second index where they turn from negative to non-negative.  Exact
+    sides (on the lines of the float edges) turn only at the two ends of the
+    chain, so that needs a computed side of the wrong sign, within the
+    rounding d <= 10 u scale of zero, on an edge other than i-1 and i.  By
+    convexity such an edge leaves x within d (1 + 2 / sin(turn)) of the
+    table, where every side is above -tau.  With every turn's sine at least
+    WALK_MIN_SINE that is 40 times below tau, so an accepted walk returns
+    what the full rule returns.  A near tie, no end within WALK_MAX_MOVES
+    moves, or a thinner table runs the full rule over numpy arrays of all
+    n edges; it is the only place that raises.
+    """
+    n = pts.shape[0]
     edges = np.roll(pts, -1, axis=0) - pts
     lengths = np.hypot(edges[:, 0], edges[:, 1])
     size = float(np.max(np.hypot(pts[:, 0], pts[:, 1])))
+    sines = area_form(edges, np.roll(edges, -1, axis=0)) / (lengths * np.roll(lengths, -1))
+    walks = float(np.min(sines)) >= WALK_MIN_SINE
+    px, py = pts.T.tolist()
+    ex, ey = edges.T.tolist()
+    ln = lengths.tolist()
+    most = min(n, WALK_MAX_MOVES)
+    ends = [0, 0]  # the chain ends of the last two calls
 
-    def step(x: np.ndarray) -> np.ndarray:
+    def side(k: int, x0: float, x1: float) -> float:
+        return (ex[k] * (x1 - py[k]) - ey[k] * (x0 - px[k])) / ln[k]
+
+    def walk(x0: float, x1: float) -> int | None:
+        i, moves = ends[0], 0
+        here = side(i, x0, x1)
+        while here < 0.0 and moves < most:
+            i = i + 1 if i + 1 < n else 0
+            here = side(i, x0, x1)
+            moves += 1
+        before = side(i - 1, x0, x1)
+        while before >= 0.0 and moves < most:
+            i = i - 1 if i else n - 1
+            here, before = before, side(i - 1, x0, x1)
+            moves += 1
+        tau = WALK_MARGIN * EPS_SINGULAR * max(size, math.hypot(x0, x1))
+        return i if before < -tau and here > tau else None
+
+    def full_rule(x: np.ndarray) -> int:
         scale = max(size, float(np.hypot(x[0], x[1])))
-        side = area_form(edges, x[None, :] - pts) / lengths
-        if np.min(side) > -EPS_OUTSIDE * scale:
+        sides = area_form(edges, x[None, :] - pts) / lengths
+        if np.min(sides) > -EPS_OUTSIDE * scale:
             raise InteriorPoint(_INSIDE)
-        ends = np.nonzero(np.roll(side < 0.0, 1) & (side >= 0.0))[0]
-        if ends.size != 1 or min(-side[ends[0] - 1], side[ends[0]]) <= EPS_SINGULAR * scale:
+        found = np.nonzero(np.roll(sides < 0.0, 1) & (sides >= 0.0))[0]
+        if found.size != 1 or min(-sides[found[0] - 1], sides[found[0]]) <= EPS_SINGULAR * scale:
             raise UndefinedOnSingularSet(
                 "two table vertices are collinear with the point; the tangency "
                 "vertex is ambiguous"
             )
-        return 2.0 * pts[ends[0]] - x
+        return int(found[0])
+
+    def step(x: np.ndarray) -> np.ndarray:
+        x0, x1 = x.tolist()
+        i = walk(x0, x1) if walks else None
+        if i is None:
+            i = full_rule(x)
+        ends[0], ends[1] = ends[1], i
+        return np.array((2.0 * px[i] - x0, 2.0 * py[i] - x1))
 
     return step
 
@@ -371,6 +442,28 @@ class FarFieldError:
     error: float
 
 
+def _far_start(far: FarFieldCurve, radius: float, direction) -> tuple[np.ndarray, float]:
+    """far_field_error's start point radius * direction and its Gamma-gauge."""
+    if radius <= 0.0:
+        raise InvariantViolation("radius must be positive")
+    if direction is None:
+        direction = (math.cos(0.3), math.sin(0.3))
+    d = np.asarray(direction, dtype=float).reshape(2)
+    d = d / np.hypot(d[0], d[1])
+    x0 = radius * d
+    return x0, float(gauge_function(far)(x0)[0])
+
+
+def _revolution_steps(table: ConvexTable, radius: float) -> float:
+    """Map steps in one revolution of the limit flow from far_field_error's default start.
+
+    The flow closes it in gauge * A(Gamma) / 2 squared steps, so the count
+    grows linearly with the radius; far_field_error allows twice as many.
+    """
+    far = far_field_curve(table)
+    return _far_start(far, float(radius), None)[1] * far.farfield_area
+
+
 def far_field_error(table: ConvexTable, radius: float, direction=None) -> FarFieldError:
     """Run F^2 for one revolution from radius * direction and measure the gap.
 
@@ -382,15 +475,8 @@ def far_field_error(table: ConvexTable, radius: float, direction=None) -> FarFie
     way.
     """
     radius = float(radius)
-    if radius <= 0.0:
-        raise InvariantViolation("radius must be positive")
-    if direction is None:
-        direction = (math.cos(0.3), math.sin(0.3))
-    d = np.asarray(direction, dtype=float).reshape(2)
-    d = d / np.hypot(d[0], d[1])
     far = far_field_curve(table)
-    x0 = radius * d
-    lam = float(gauge_function(far)(x0)[0])
+    x0, lam = _far_start(far, radius, direction)
     expected = lam * 0.5 * far.farfield_area
     max_steps = int(math.ceil(2.0 * expected)) + 64
     step = _billiard_map(table)

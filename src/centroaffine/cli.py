@@ -38,7 +38,7 @@ from .reports import Report, sweep_csv_bytes
 
 
 # billiard-orbit holds the whole orbit and its JSON report (about 67 bytes a
-# step) in memory, so its length is capped.
+# step) in memory, and farfield-error one revolution, so both are capped.
 MAX_ORBIT_STEPS = 1_000_000
 
 
@@ -351,6 +351,13 @@ def _cmd_farfield_error(args) -> Report:
     radii = sorted(set(args.radius)) if args.radius else [1e3, 1e4]
     if len(radii) < 2 or not all(math.isfinite(r) and r > 0 for r in radii):
         raise ConfigError("farfield-error needs >= 2 distinct finite positive --radius values")
+    # a revolution grows with the radius, so the largest one bounds every run
+    steps = billiards._revolution_steps(table, radii[-1])
+    if not steps <= MAX_ORBIT_STEPS:
+        raise ConfigError(
+            f"--radius {radii[-1]:g} needs about {steps:.3g} map steps for one revolution, "
+            f"more than the cap of {MAX_ORBIT_STEPS}"
+        )
     try:
         runs = [billiards.far_field_error(table, r) for r in radii]
     except (InteriorPoint, UndefinedOnSingularSet) as exc:

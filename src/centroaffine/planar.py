@@ -119,7 +119,8 @@ class TrigSeries:
     set builds it once with ``phases`` and applies ``combine`` to each.  A
     series whose orders are a slice of another's reads the same slice of
     its columns; that keeps the bits, while zero-padding the coefficients
-    to the longer order list does not.
+    to the longer order list does not.  The weighted coefficients of each
+    derivative order are built on first use and kept.
     """
 
     def __init__(self, orders, coeffs, period: float):
@@ -127,6 +128,7 @@ class TrigSeries:
         self.coeffs = np.asarray(coeffs, dtype=complex)
         self.period = float(period)
         self.freq = 1j * (TWO_PI / self.period) * self.orders
+        self._weighted = {0: self.coeffs}  # order -> (i omega m)^order * coeffs
 
     @classmethod
     def from_samples(cls, samples, period: float) -> "TrigSeries":
@@ -147,9 +149,10 @@ class TrigSeries:
 
     def combine(self, phases: np.ndarray, order: int = 0):
         """f (order 0) or its derivative of the given order from ``phases(t)``."""
-        coeffs = self.coeffs
-        if order:
-            coeffs = _per_mode(self.freq**order, coeffs) * coeffs
+        coeffs = self._weighted.get(order)
+        if coeffs is None:
+            coeffs = _per_mode(self.freq**order, self.coeffs) * self.coeffs
+            self._weighted[order] = coeffs
         return (phases @ coeffs).real
 
     def series(self, t, order: int = 0):

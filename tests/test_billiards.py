@@ -29,7 +29,14 @@ from centroaffine.errors import (
     InvariantViolation,
     UndefinedOnSingularSet,
 )
-from centroaffine.billiards import _dist_to_polygon, _SmoothStepper
+from centroaffine import billiards
+from centroaffine.billiards import (
+    EPS_OUTSIDE,
+    EPS_SINGULAR,
+    _billiard_map,
+    _dist_to_polygon,
+    _SmoothStepper,
+)
 from centroaffine.sampling import (
     random_convex_polygon_table,
     random_sl2,
@@ -211,6 +218,169 @@ class TestPolygonTangency:
                 assert np.min(np.hypot(*(0.5 * (x + y) - pts).T)) < 1e-10
 
 
+def _numpy_polygon_map(table):
+    """F on a polygon table by the numpy rule that the float map replaced.
+
+    Every edge distance is computed at once, and the end of the chain of
+    edges that face x is read off them with np.roll and np.nonzero.
+    """
+    pts = table.vertices
+    edges = np.roll(pts, -1, axis=0) - pts
+    lengths = np.hypot(edges[:, 0], edges[:, 1])
+    size = float(np.max(np.hypot(pts[:, 0], pts[:, 1])))
+
+    def step(x):
+        scale = max(size, float(np.hypot(x[0], x[1])))
+        side = area_form(edges, x[None, :] - pts) / lengths
+        if np.min(side) > -EPS_OUTSIDE * scale:
+            raise InteriorPoint("inside")
+        ends = np.nonzero(np.roll(side < 0.0, 1) & (side >= 0.0))[0]
+        if ends.size != 1 or min(-side[ends[0] - 1], side[ends[0]]) <= EPS_SINGULAR * scale:
+            raise UndefinedOnSingularSet("collinear")
+        return 2.0 * pts[ends[0]] - x
+
+    return step
+
+
+def _outcome(step, x):
+    """F(x), or the class of the exception F raises at x."""
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            return step(np.asarray(x, dtype=float))
+    except (InteriorPoint, UndefinedOnSingularSet) as exc:
+        return type(exc)
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want), (got, want)
+    else:
+        assert got is want
+
+
+def _random_ellipse_48gon(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    t = TWO_PI * (np.arange(48) + rng.uniform()) / 48
+    c, s = math.cos(rng.uniform(0.0, math.pi)), math.sin(rng.uniform(0.0, math.pi))
+    rot = np.array([[c, s], [-s, c]])
+    return np.column_stack([rng.uniform(1.0, 2.0) * np.cos(t), rng.uniform(0.3, 1.0) * np.sin(t)]) @ rot
+
+
+def _oracle_table(name):
+    if name in ("triangle", "square"):
+        return named_table(name)
+    if name == "ellipse48":
+        return polygon_table(_ellipse_48gon())
+    if name == "ellipse400":
+        # near a 400-gon the tangency often moves further than a walk may go
+        t = TWO_PI * (np.arange(400) + 0.5) / 400
+        return polygon_table(np.column_stack([1.5 * np.cos(t), 0.8 * np.sin(t)]))
+    if name == "thin":
+        # a turn of sine 1e-6 at (1, 0): too thin for the walk, so every step runs the full rule
+        return polygon_table([[0.0, 0.0], [1.0, 0.0], [2.0, 1e-6], [1.0, 1.0]])
+    kind, seed = name.split("-")
+    if kind == "ellipse":
+        return polygon_table(_random_ellipse_48gon(int(seed)))
+    return random_convex_polygon_table(np.random.default_rng(int(seed)))
+
+
+def _far_points(rng, count, low=0.5, high=1e5):
+    r = np.exp(rng.uniform(math.log(low), math.log(high), count))
+    theta = rng.uniform(0.0, TWO_PI, count)
+    return r[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
+
+
+def _edge_line_points(pts):
+    """Points on the line of each edge, behind it, and 1e-5 to either side of it."""
+    edges = np.roll(pts, -1, axis=0) - pts
+    units = edges / np.hypot(edges[:, 0], edges[:, 1])[:, None]
+    normals = np.column_stack([-units[:, 1], units[:, 0]])
+    out = []
+    for radius in (1e4, 1e5):
+        for offset in (0.0, 1e-5, -1e-5):
+            out.extend(pts - radius * units + offset * normals)
+    return np.array(out)
+
+
+ORACLE_TABLES = ["triangle", "square", "ellipse48", "ellipse400", "thin", "random-1",
+                 "random-2", "random-3", "random-4", "ellipse-5", "ellipse-6"]
+
+
+class TestFloatPolygonMap:
+    """The float map against the numpy oracle: equal arrays, or the same exception class."""
+
+    @pytest.mark.parametrize("name", ORACLE_TABLES)
+    def test_random_points_match_the_numpy_rule(self, rng, name):
+        table = _oracle_table(name)
+        step, oracle = _billiard_map(table), _numpy_polygon_map(table)
+        for x in _far_points(rng, 600):
+            _assert_same_outcome(_outcome(step, x), _outcome(oracle, x))
+
+    @pytest.mark.parametrize("name", ORACLE_TABLES)
+    def test_orbits_match_the_numpy_rule(self, rng, name):
+        table = _oracle_table(name)
+        step, oracle = _billiard_map(table), _numpy_polygon_map(table)
+        for x in _far_points(rng, 4, low=3.0):
+            orbit = billiard_orbit(table, x, 500)
+            for k in range(500):
+                assert np.array_equal(orbit[k + 1], oracle(orbit[k]))
+            for _ in range(500):
+                want = oracle(x)
+                assert np.array_equal(step(x), want)
+                x = want
+
+    @pytest.mark.parametrize("name", ["square", "ellipse48", "ellipse-5"])
+    def test_points_on_edge_lines_match_the_numpy_rule(self, rng, name):
+        table = _oracle_table(name)
+        step, oracle = _billiard_map(table), _numpy_polygon_map(table)
+        probes = _edge_line_points(table.vertices)
+        if name == "square":
+            probes = np.vstack([probes, [[1.0, -3.0], [3e4, 1.0], [3e4, 1.0 + 1e-4], [3e4, 1.0 - 1e-4]]])
+        singular = 0
+        for x in rng.permutation(probes):
+            want = _outcome(oracle, x)
+            _assert_same_outcome(_outcome(step, x), want)
+            singular += want is UndefinedOnSingularSet
+        assert singular >= table.vertices.shape[0]
+
+    def test_non_finite_points_match_the_numpy_rule(self):
+        table = _oracle_table("ellipse48")
+        step, oracle = _billiard_map(table), _numpy_polygon_map(table)
+        inf, nan = math.inf, math.nan
+        for x in ([nan, 0.0], [inf, 0.0], [0.0, -inf], [inf, inf], [1e300, 1e300], [nan, nan]):
+            _assert_same_outcome(_outcome(step, x), _outcome(oracle, x))
+
+    @pytest.mark.parametrize("name", ["triangle", "ellipse48", "random-2"])
+    def test_stale_or_foreign_hints_never_change_a_step(self, rng, name):
+        # the walk starts where the chain ended two calls back; seed that end
+        # with every vertex in turn before each probe
+        table = _oracle_table(name)
+        oracle = _numpy_polygon_map(table)
+        pts = table.vertices
+        primers = {}
+        for x in _far_points(rng, 4000, low=2.0 * float(np.max(np.hypot(*pts.T)))):
+            y = _outcome(oracle, x)
+            if isinstance(y, np.ndarray):
+                end = int(np.argmin(np.hypot(*(0.5 * (x + y) - pts).T)))
+                primers.setdefault(end, x)
+        assert len(primers) == pts.shape[0]
+        probes = np.vstack([_far_points(rng, 25), _edge_line_points(pts)[:: max(1, pts.shape[0] // 4)]])
+        step = _billiard_map(table)
+        for x in probes:
+            want = _outcome(oracle, x)
+            for primer in primers.values():
+                step(primer)
+                step(primer)
+                _assert_same_outcome(_outcome(step, x), want)
+
+    @pytest.mark.parametrize("name, radius", [("triangle", 1e3), ("ellipse48", 1e3), ("random-3", 3e2)])
+    def test_far_field_error_matches_the_numpy_rule(self, monkeypatch, name, radius):
+        table = _oracle_table(name)
+        got = far_field_error(table, radius)
+        monkeypatch.setattr(billiards, "_billiard_map", _numpy_polygon_map)
+        assert far_field_error(table, radius) == got
+
+
 def _reference_tangency(support: SupportBody, x: np.ndarray) -> float:
     """Tangency parameter by the rule that refines every sign change of h.
 
@@ -312,6 +482,23 @@ class TestForwardTangency:
 
             root = _extended_bisection(rise, t - 1e-9, t + 1e-9)[0]
             assert abs(np.longdouble(t) - root) <= 2 * ULP
+
+    def test_rise_in_the_bracket_that_wraps(self):
+        # from x the circle's forward tangency phi + acos(1 / r) lies between the last node and 2 pi
+        support = named_table("circle").support
+        target = TWO_PI - 0.5 * TWO_PI / support.grid_size
+        phi = target - math.acos(1.0 / 5.0)
+        x = 5.0 * np.array([math.cos(phi), math.sin(phi)])
+        t = _SmoothStepper(support).tangency(x)
+        assert support.grid[-1] < t < TWO_PI
+        assert abs(t - _reference_tangency(support, x)) <= 4 * ULP
+
+    def test_boundary_point_keeps_the_bits_of_two_series_calls(self, rng):
+        stepper = _SmoothStepper(random_support_table(rng).support)
+        for t in rng.uniform(0.0, TWO_PI, 20):
+            p, dp = stepper.p.series(t), stepper.p.series(t, 1)
+            want = np.array([p * math.cos(t) - dp * math.sin(t), p * math.sin(t) + dp * math.cos(t)])
+            assert np.array_equal(stepper.boundary_point(t), want)
 
 
 class TestOrbit:
@@ -440,6 +627,18 @@ class TestFarFieldError:
     def test_needs_positive_radius(self):
         with pytest.raises(InvariantViolation):
             far_field_error(named_table("square"), -5.0)
+        with pytest.raises(InvariantViolation):
+            billiards._revolution_steps(named_table("square"), 0.0)
+
+    @pytest.mark.parametrize("name, radius", [("triangle", 300.0), ("square", 1000.0), ("circle", 100.0)])
+    def test_revolution_steps_match_the_run(self, name, radius):
+        # the limit flow's revolution is within the budget's 64 squared steps of the run
+        table = named_table(name)
+        steps = far_field_error(table, radius).steps
+        revolution = billiards._revolution_steps(table, radius)
+        assert abs(revolution - steps) <= 128
+        # and grows linearly with the radius
+        assert billiards._revolution_steps(table, 10.0 * radius) == pytest.approx(10.0 * revolution, rel=1e-12)
 
     def test_gauge_scaling(self):
         far = far_field_curve(named_table("circle"))

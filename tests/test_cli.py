@@ -223,6 +223,18 @@ class TestUsageErrors:
         assert out == ""
         assert "--x0" in err
 
+    @pytest.mark.parametrize("table", ["triangle", "square", "circle"])
+    @pytest.mark.parametrize("radius", ["1e12", "1e308"])
+    def test_farfield_radius_past_the_step_cap(self, capsys, table, radius):
+        # one revolution at 1e12 takes about 1e12 map steps, and at 1e308 the
+        # count overflows to inf; the check runs before any step
+        rc, out, err = run_cli(
+            capsys, ["farfield-error", "--table", table, "--radius", "1", "--radius", radius]
+        )
+        assert rc == 1
+        assert out == ""
+        assert "--radius" in err and str(cli.MAX_ORBIT_STEPS) in err
+
     def test_non_finite_payload_is_an_error(self, capsys, monkeypatch):
         for value in (math.nan, np.float64(np.inf), np.float32(np.nan), np.array([1.0, -np.inf])):
 
