@@ -7,6 +7,10 @@ as fill about TARGET_S seconds (found once, before timing) and records the
 time per call; the file gives the minimum and the median per call over the
 repeats, with the machine the numbers came from.  Inputs are fixed seeds, so
 every run times the same work.  Needs numpy only.
+
+The kernels run on the BLAS threads a CLI process gets: one, unless
+OPENBLAS_NUM_THREADS is set, and the machine block records its value (null
+when unset).
 """
 
 from __future__ import annotations
@@ -17,15 +21,17 @@ import math
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-import numpy as np  # noqa: E402
-
+# Before numpy, so that OpenBLAS starts on the CLI's one thread.
 from centroaffine import billiards, curves, planar, polygons, sampling  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 KEEP = 7
 TARGET_S = 0.05
@@ -63,6 +69,15 @@ def kernels() -> dict:
     gauge = billiards.gauge_function(sampling.random_support_table(np.random.default_rng(5)))
     theta = rng.uniform(0.0, planar.TWO_PI, 2000)
     vectors = rng.uniform(0.5, 2.0, 2000)[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
+
+    pythonpath = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+
+    def launch_abstime():
+        subprocess.run(
+            [sys.executable, "-m", "centroaffine.cli", "abstime", "--table", "triangle"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=True,
+        )
 
     return {
         "area_form_spectral_derivative_1024": (
@@ -113,6 +128,10 @@ def kernels() -> dict:
             lambda: gauge(vectors),
             "gauge_function of a 1024-grid random_support_table at 2000 vectors",
         ),
+        "cli_launch_abstime": (
+            launch_abstime,
+            "one `python -m centroaffine.cli abstime --table triangle` process, from spawn to exit",
+        ),
     }
 
 
@@ -148,6 +167,7 @@ def machine() -> dict:
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),
         "system": platform.system(),
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
 
 

@@ -8,6 +8,25 @@ Hessian, Schwarzian averages of circle maps, and the far-field dynamics of
 outer billiards with its affine-invariant revolution time.
 """
 
+import os
+import sys
+
+# OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it.  Unless numpy
+# is loaded already or the variable is set, load numpy on one BLAS thread and
+# take the variable out again, so that child processes inherit nothing.  Why:
+# - the largest BLAS operand in the package, a 2000 x 513 phase matrix, is too
+#   small to gain from a second thread;
+# - the thread pool adds tens of milliseconds to every CLI launch when another
+#   core is busy, and its threads burn CPU time while they wait for work;
+# - a threaded product sums in another order, so the last digits of a report
+#   would depend on the number of cores.
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .billiards import (
     AbsoluteTimeReport,
     ConvexTable,
@@ -89,7 +108,6 @@ from .planar import (
     signed_area,
     sl2_apply,
     spectral_derivative,
-    trig_interp,
 )
 from .polygons import (
     CrossProducts,

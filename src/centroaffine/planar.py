@@ -200,11 +200,6 @@ def _bracketed_newton(series: TrigSeries, rise, lo, hi) -> np.ndarray:
     return t
 
 
-def trig_interp(samples, period: float, t):
-    """Evaluate the trigonometric interpolant of periodic samples at points t."""
-    return TrigSeries.from_samples(samples, period).series(t)
-
-
 def resample_by_density(density, period: float, n_out: int) -> np.ndarray:
     """Parameter values that split a positive periodic density into equal mass.
 

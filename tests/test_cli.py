@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -639,3 +640,33 @@ class TestDeterminism:
             capture_output=True, text=True, check=True,
         )
         assert proc.stdout == expected
+
+
+class TestBlasThreads:
+    """The CLI runs numpy's BLAS on one thread unless the user says otherwise."""
+
+    VARIABLE = "OPENBLAS_NUM_THREADS"
+
+    def run_python(self, args, **overrides):
+        env = {k: v for k, v in os.environ.items() if k != self.VARIABLE}
+        env.update(overrides)
+        proc = subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, env=env, check=True,
+        )
+        return proc.stdout
+
+    def test_report_bytes_do_not_depend_on_the_core_count(self):
+        """A pool input whose min_loop_slack differs in its last digits on 1 and 2 threads.
+
+        On a machine with one core OpenBLAS starts one thread either way,
+        so there the test passes whatever the package does.
+        """
+        argv = ["-m", "centroaffine.cli", "chord-check", "--trials", "5", "--seed", "1437647638"]
+        assert self.run_python(argv) == self.run_python(argv, **{self.VARIABLE: "1"})
+
+    @pytest.mark.parametrize("value", [None, "2"])
+    def test_import_leaves_the_variable_as_it_was(self, value):
+        """Unset stays unset, so child processes inherit nothing; a user's value stays."""
+        code = f"import os, centroaffine; print(os.environ.get({self.VARIABLE!r}))"
+        overrides = {} if value is None else {self.VARIABLE: value}
+        assert self.run_python(["-c", code], **overrides) == f"{value}\n"
