@@ -40,7 +40,6 @@ from .billiards import (
     far_field_flow,
     gauge_function,
     kepler_residual,
-    minkowski_length,
     named_table,
     outer_billiard_step,
     polygon_table,
@@ -53,7 +52,6 @@ from .curves import (
     HillPotential,
     area_functional,
     area_functional_profile,
-    areal_energy,
     average_schwarzian,
     chord_average,
     chord_bound,
@@ -71,16 +69,11 @@ from .curves import (
     schwarzian_potential,
 )
 from .duality import (
-    DualPolygon,
-    WaveFront,
     bs_bound_curve,
     bs_bound_polygon,
     bs_product_curve,
     bs_product_polygon,
     central_symmetrize,
-    dual_polygon,
-    polar_dual_curve,
-    wavefront_area,
 )
 from .errors import (
     AlphaOutOfRange,
@@ -94,7 +87,6 @@ from .errors import (
     NotStarShaped,
     NotUnitSpeed,
     ParseError,
-    SingularRadial,
     UndefinedOnSingularSet,
 )
 from .planar import (

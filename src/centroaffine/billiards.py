@@ -27,14 +27,12 @@ from .errors import InteriorPoint, InvariantViolation, UndefinedOnSingularSet
 from .planar import (
     DEFAULT_GRID,
     TWO_PI,
-    SampledCurve,
     SupportBody,
     TrigSeries,
     _bracketed_newton,
     _fourier_multiply,
     area_form,
     signed_area,
-    spectral_derivative,
 )
 
 # A point this close to the line through two table vertices, relative to the
@@ -573,27 +571,3 @@ def gauge_function(ball):
         return np.max(num / denom[None, :], axis=1)
 
     return gauge
-
-
-def minkowski_length(path, ball) -> float:
-    """Length of a closed path measured in the gauge of the given unit ball.
-
-    Polygonal paths (vertex arrays or polygonal FarFieldCurve objects) sum
-    the gauge of their edges; smooth sample sets integrate the gauge of the
-    tangent spectrally over the period.
-    """
-    gauge = gauge_function(ball)
-    if isinstance(path, FarFieldCurve):
-        if path.kind == "polygon":
-            pts = path.points
-            return float(np.sum(gauge(np.roll(pts, -1, axis=0) - pts)))
-        tangent = spectral_derivative(path.points, TWO_PI, 1)
-        return float(TWO_PI * np.mean(gauge(tangent)))
-    if isinstance(path, SampledCurve):
-        doubled = path.doubled()
-        tangent = spectral_derivative(doubled, 2.0 * path.period, 1)
-        return float(2.0 * path.period * np.mean(gauge(tangent)))
-    pts = np.asarray(path, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise InvariantViolation("path must be an (M, 2) vertex array")
-    return float(np.sum(gauge(np.roll(pts, -1, axis=0) - pts)))

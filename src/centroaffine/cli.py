@@ -133,6 +133,8 @@ def load_curve(path: str) -> curves.DiffeoCurve:
         if not isinstance(row, list) or len(row) != 3:
             raise ParseError(f"{path}: harmonics rows must be [order, re, im]")
         order = _integer(row[0], path, "a harmonic order")
+        if order in harmonics:
+            raise ParseError(f"{path}: harmonic order {order} is given twice")
         harmonics[order] = complex(
             _number(row[1], path, "a harmonic's re"), _number(row[2], path, "a harmonic's im")
         )

@@ -483,28 +483,6 @@ def polygon_diagonal_bound(
     return float(val if fn is None else fn(val))
 
 
-def areal_energy(curve: SampledCurve, g: Callable) -> float:
-    """Double integral over t, alpha in [0, pi] of g([gamma(t), gamma(t+alpha)], alpha).
-
-    g must accept numpy arrays (values, alphas) and evaluate pointwise.
-    The t-average is spectrally exact; the alpha direction uses the
-    trapezoid rule on the N+1 grid shifts.
-    """
-    doubled = curve.doubled()
-    n = curve.grid_size
-    m = np.arange(n + 1)
-    idx = (np.arange(2 * n)[None, :] + m[:, None]) % (2 * n)
-    cross = (
-        doubled[None, :, 0] * doubled[idx, 1] - doubled[None, :, 1] * doubled[idx, 0]
-    )
-    alphas = m * (math.pi / n)
-    inner = math.pi * np.mean(g(cross, alphas[:, None]), axis=1)
-    weights = np.full(n + 1, math.pi / n)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    return float(np.dot(weights, inner))
-
-
 def _deficit_objective(params, orders, alpha_idx, grid):
     harmonics = {int(orders[0]): complex(params[0], 0.0)}
     for j, order in enumerate(orders[1:]):

@@ -1,117 +1,31 @@
-"""Polar duality for star polygons, curves and convex bodies.
+"""Area products of polar-dual pairs and central symmetrization.
 
-The plane is identified with its dual through the area form, so every dual
-object is again a plane polygon or curve.  Duals of non-convex inputs come
-out as wave fronts: closed co-oriented fronts whose area is the signed
-integral (1/2) oint [x, dx] = oint x dy taken in the parameter direction
-inherited from the primal object.
+The plane is identified with its dual through the area form.  A star
+polygon V with [V_i, V_{i+1}] = 1 pairs to one with its dual
+V*_i = V_{i+1} - V_i, and a Wronskian-normalized curve gamma with its polar
+dual gamma' / [gamma, gamma'].  The area products A(V) A(V*) and
+A(gamma) A(gamma*) are computed here from the primal object alone, next to
+their sharp Blaschke-Santalo type bounds.  Central symmetrization is the
+Minkowski half-sum of a convex body with its antipodal image.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, SingularRadial
+from .errors import InvariantViolation
 from .planar import (
-    EPS_POLY,
     SampledCurve,
     SupportBody,
     StarPolygon,
     TWO_PI,
     _as_points,
-    _shifted,
     area_form,
     signed_area,
-    spectral_derivative,
 )
 from .polygons import cross_products, energy
-
-EPS_RADIAL = 1e-10
-
-
-@dataclass(frozen=True)
-class DualPolygon:
-    """Dual vertex sequence V*_i = V_{i+1} - V_i of a star polygon."""
-
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        pts = _as_points(self.vertices, "dual vertices")
-        object.__setattr__(self, "vertices", pts)
-        pts.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.vertices.shape[0]
-
-    @property
-    def full_cycle(self) -> np.ndarray:
-        return np.vstack([self.vertices, -self.vertices])
-
-
-@dataclass(frozen=True)
-class WaveFront:
-    """A closed co-oriented front: either smooth samples or a vertex cycle."""
-
-    points: np.ndarray
-    kind: str = "smooth"
-    period: float = TWO_PI
-
-    def __post_init__(self):
-        pts = _as_points(self.points, "front points")
-        if self.kind not in ("smooth", "polygon"):
-            raise InvariantViolation("front kind must be 'smooth' or 'polygon'")
-        if self.kind == "smooth" and self.period <= 0:
-            raise InvariantViolation("smooth fronts need a positive period")
-        object.__setattr__(self, "points", pts)
-        pts.setflags(write=False)
-
-
-def dual_polygon(polygon: StarPolygon) -> DualPolygon:
-    """Edge-difference dual; pairs to one against the primal vertices."""
-    v = polygon.vertices
-    dual = _shifted(v, 1) - v
-    pairing = area_form(v, dual)
-    if np.max(np.abs(pairing - 1.0)) > EPS_POLY:
-        raise InvariantViolation("dual pairing [V_i, V*_i] = 1 failed")
-    return DualPolygon(dual)
-
-
-def wavefront_area(front) -> float:
-    """Signed area oint x dy of a wave front (polygon cycle or smooth samples)."""
-    if isinstance(front, WaveFront):
-        if front.kind == "polygon":
-            return signed_area(front.points)
-        deriv = spectral_derivative(front.points, front.period, 1)
-        return float(np.mean(front.points[:, 0] * deriv[:, 1]) * front.period)
-    return signed_area(front)
-
-
-def polar_dual_curve(curve: SampledCurve | WaveFront) -> WaveFront:
-    """The dual front gamma' / [gamma, gamma'] on the full parameter period.
-
-    Raises SingularRadial when the radial component [gamma, gamma'] of the
-    input (nearly) vanishes somewhere.
-    """
-    if isinstance(curve, SampledCurve):
-        pts = curve.doubled()
-        period = 2.0 * curve.period
-    elif isinstance(curve, WaveFront) and curve.kind == "smooth":
-        pts = curve.points
-        period = curve.period
-    else:
-        raise InvariantViolation("polar dual needs a smooth curve or front")
-    deriv = spectral_derivative(pts, period, 1)
-    radial = area_form(pts, deriv)
-    # a sign change means an interior zero even if no sample sits on it
-    if np.min(np.abs(radial)) < EPS_RADIAL or np.min(radial) * np.max(radial) <= 0:
-        raise SingularRadial(
-            f"radial component dips to {np.min(np.abs(radial)):.3e}; dual blows up"
-        )
-    return WaveFront(points=deriv / radial[:, None], kind="smooth", period=period)
 
 
 def bs_product_polygon(polygon: StarPolygon) -> float:

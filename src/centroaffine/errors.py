@@ -29,10 +29,6 @@ class NotADiffeo(ValueError):
     """The angle map fails the minimum-slope requirement."""
 
 
-class SingularRadial(ValueError):
-    """The radial component vanishes, so the polar dual blows up."""
-
-
 class InteriorPoint(ValueError):
     """The outer billiard map needs a point strictly outside the table."""
 

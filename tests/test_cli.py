@@ -395,6 +395,16 @@ class TestInputErrors:
         assert err.startswith("error: ")
         assert message in err
 
+    @pytest.mark.parametrize("command", ["criticality", "ialpha-sweep"])
+    def test_repeated_harmonic_order_is_a_parse_error(self, capsys, tmp_path, command):
+        # a second row for z_2 used to replace the first without a word
+        path = write_json(tmp_path / "c.json", {"harmonics": [[2, 0.01, 0], [2.0, 0.02, 0]]})
+        rc, out, err = run_cli(capsys, [command, "--in", path])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "harmonic order 2 is given twice" in err
+
     def test_integral_float_order_is_accepted(self, capsys, tmp_path):
         path = write_json(tmp_path / "c.json", {"harmonics": [[4.0, 0.02, 0.01]]})
         rc, rep, _ = run_json(capsys, ["ialpha-sweep", "--grid", "4", "--in", path])

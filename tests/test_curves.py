@@ -13,7 +13,6 @@ from centroaffine import (
     SampledCurve,
     area_functional,
     area_functional_profile,
-    areal_energy,
     average_schwarzian,
     chord_average,
     chord_bound,
@@ -330,13 +329,31 @@ def test_area_functional_sl2_invariant(re4, im6):
         )
 
 
+def _areal_energy(curve):
+    """Double integral of [gamma(t), gamma(t + alpha)] over t, alpha in [0, pi].
+
+    The t-average over the doubled grid is spectrally exact; the alpha
+    direction uses the trapezoid rule on the N + 1 grid shifts.
+    """
+    doubled = curve.doubled()
+    n = curve.grid_size
+    m = np.arange(n + 1)
+    idx = (np.arange(2 * n)[None, :] + m[:, None]) % (2 * n)
+    cross = doubled[None, :, 0] * doubled[idx, 1] - doubled[None, :, 1] * doubled[idx, 0]
+    inner = math.pi * np.mean(cross, axis=1)
+    weights = np.full(n + 1, math.pi / n)
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    return float(np.dot(weights, inner))
+
+
 def test_areal_energy_recovers_profile_integral():
     d = DiffeoCurve({4: 0.03}, grid=256)
     curve = d.curve()
     alphas, values = area_functional_profile(d)
-    # g = identity integrates I(alpha) against d alpha (times pi from the t measure)
+    # integrating I(alpha) against d alpha (times pi from the t measure)
     direct = np.trapezoid(values, alphas) * math.pi
-    assert areal_energy(curve, lambda v, a: v) == pytest.approx(direct, abs=1e-10)
+    assert _areal_energy(curve) == pytest.approx(direct, abs=1e-10)
 
 
 def test_deficit_search_supports_conjecture():

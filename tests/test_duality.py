@@ -1,4 +1,9 @@
-"""Polar duality, area products and central symmetrization."""
+"""Area products of polar-dual pairs, and central symmetrization.
+
+The duals themselves are built here, as oracles: the area products that
+`bs_product_polygon` and `bs_product_curve` compute from the primal object
+alone must equal the product of the two areas.
+"""
 
 import math
 
@@ -10,7 +15,6 @@ from centroaffine import (
     SampledCurve,
     StarPolygon,
     SupportBody,
-    WaveFront,
     area_form,
     bs_bound_curve,
     bs_bound_polygon,
@@ -18,16 +22,16 @@ from centroaffine import (
     bs_product_polygon,
     central_symmetrize,
     cross_products,
-    dual_polygon,
+    curve_from_diffeo,
     energy,
-    polar_dual_curve,
     regular_polygon,
     signed_area,
     sl2_apply,
-    wavefront_area,
+    spectral_derivative,
 )
-from centroaffine.errors import InvariantViolation, SingularRadial
-from centroaffine.sampling import random_sl2, random_star_polygon
+from centroaffine.errors import InvariantViolation
+from centroaffine.planar import _shifted
+from centroaffine.sampling import random_diffeo, random_sl2, random_star_polygon
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,11 +43,34 @@ def unit_circle_curve(n=256):
     )
 
 
+def _dual_vertices(poly):
+    """Edge-difference dual V*_i = V_{i+1} - V_i of a star polygon."""
+    v = poly.vertices
+    return _shifted(v, 1) - v
+
+
+def _full_cycle(half):
+    return np.vstack([half, -half])
+
+
+def _spectral_area(points, period):
+    """Signed area oint x dy of a closed front sampled over one full period."""
+    deriv = spectral_derivative(points, period, 1)
+    return float(np.mean(points[:, 0] * deriv[:, 1]) * period)
+
+
+def _polar_dual(curve):
+    """The dual front gamma' / [gamma, gamma'] on the full period 2T."""
+    pts = curve.doubled()
+    deriv = spectral_derivative(pts, 2.0 * curve.period, 1)
+    return deriv / area_form(pts, deriv)[:, None]
+
+
 class TestDualPolygon:
     def test_pairing_normalization(self, rng):
         poly = random_star_polygon(6, rng)
-        dual = dual_polygon(poly)
-        np.testing.assert_allclose(area_form(poly.vertices, dual.vertices), 1.0, atol=1e-9)
+        dual = _dual_vertices(poly)
+        np.testing.assert_allclose(area_form(poly.vertices, dual), 1.0, atol=1e-9)
 
     def test_primal_area_is_n(self, rng):
         for n in (3, 5, 8):
@@ -52,13 +79,13 @@ class TestDualPolygon:
 
     def test_dual_area_complements_energy(self, rng):
         poly = random_star_polygon(7, rng)
-        dual = dual_polygon(poly)
+        dual = _dual_vertices(poly)
         want = 2 * 7 - energy(cross_products(poly))
-        assert signed_area(dual.full_cycle) == pytest.approx(want, abs=1e-9)
+        assert signed_area(_full_cycle(dual)) == pytest.approx(want, abs=1e-9)
 
     def test_product_equals_area_product(self, rng):
         poly = random_star_polygon(5, rng)
-        direct = signed_area(poly.full_cycle) * signed_area(dual_polygon(poly).full_cycle)
+        direct = signed_area(poly.full_cycle) * signed_area(_full_cycle(_dual_vertices(poly)))
         assert bs_product_polygon(poly) == pytest.approx(direct, abs=1e-8)
 
 
@@ -86,32 +113,21 @@ class TestPolygonAreaProduct:
 
 
 class TestPolarDualCurve:
-    def test_circle_is_self_dual(self):
-        dual = polar_dual_curve(unit_circle_curve())
-        t = TWO_PI * np.arange(512) / 512
-        np.testing.assert_allclose(
-            dual.points, np.column_stack([-np.sin(t), np.cos(t)]), atol=1e-10
-        )
-
-    def test_double_dual_returns_start(self):
-        curve = unit_circle_curve()
-        shear = SL2Matrix(1.0, 0.4, 0.0, 1.0)
-        ellipse = sl2_apply(shear, curve)
-        dd = polar_dual_curve(polar_dual_curve(ellipse))
-        np.testing.assert_allclose(dd.points, -ellipse.doubled(), atol=1e-9)
-
-    def test_singular_radial_rejected(self):
-        t = TWO_PI * np.arange(256) / 256
-        # an off-center circle whose radial component changes sign
-        front = WaveFront(np.column_stack([2.0 + np.cos(t), np.sin(t)]))
-        with pytest.raises(SingularRadial):
-            polar_dual_curve(front)
-
     def test_dual_area_of_ellipse(self):
         squeeze = SL2Matrix(1.6, 0.0, 0.0, 1.0 / 1.6)
         ellipse = sl2_apply(squeeze, unit_circle_curve())
-        dual = polar_dual_curve(ellipse)
-        assert wavefront_area(dual) == pytest.approx(math.pi, abs=1e-9)
+        assert _spectral_area(_polar_dual(ellipse), 2.0 * ellipse.period) == pytest.approx(
+            math.pi, abs=1e-9
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_product_equals_area_product(self, seed):
+        curve = curve_from_diffeo(random_diffeo(np.random.default_rng(seed)))
+        period = 2.0 * curve.period
+        direct = _spectral_area(curve.doubled(), period) * _spectral_area(
+            _polar_dual(curve), period
+        )
+        assert bs_product_curve(curve) == pytest.approx(direct, abs=1e-9)
 
 
 class TestCurveAreaProduct:
@@ -129,17 +145,6 @@ class TestCurveAreaProduct:
         curve = SampledCurve(np.column_stack([np.cos(t), np.sin(t)]), math.pi)
         with pytest.raises(InvariantViolation):
             bs_product_curve(curve)
-
-
-class TestWavefrontArea:
-    def test_polygon_front(self):
-        square = np.array([[1, 1], [-1, 1], [-1, -1], [1, -1]], dtype=float)
-        assert wavefront_area(WaveFront(square, kind="polygon")) == pytest.approx(4.0)
-
-    def test_smooth_front_circle(self):
-        t = TWO_PI * np.arange(128) / 128
-        front = WaveFront(np.column_stack([np.cos(t), np.sin(t)]))
-        assert wavefront_area(front) == pytest.approx(math.pi, abs=1e-12)
 
 
 class TestCentralSymmetrize:

@@ -1,5 +1,5 @@
 """Every module of the package uses what it imports, every private helper has a caller,
-and the package imports nothing from scipy."""
+every exception class has a raiser, and the package imports nothing from scipy."""
 
 import ast
 import os
@@ -79,6 +79,45 @@ def test_checker_flags_a_dead_helper():
 def test_no_dead_private_helpers(path):
     others = [p.read_text(encoding="utf-8") for p in SOURCES if p != path]
     assert dead_helpers(path.read_text(encoding="utf-8"), others) == []
+
+
+def exception_names(source: str) -> set[str]:
+    """Names a module raises (bare, called or as an attribute) or derives a class from."""
+
+    def name(node):
+        if isinstance(node, ast.Call):
+            node = node.func
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            names.add(name(node.exc))
+        elif isinstance(node, ast.ClassDef):
+            names.update(name(base) for base in node.bases)
+    return names
+
+
+def orphaned_exceptions(errors: str, others: list[str]) -> list[str]:
+    """Classes defined in the errors module that no other module raises or subclasses."""
+    defined = {node.name for node in ast.parse(errors).body if isinstance(node, ast.ClassDef)}
+    return sorted(defined - set().union(*(exception_names(s) for s in others)))
+
+
+def test_checker_flags_an_orphaned_exception():
+    errors = "class Base(ValueError):\n    pass\n\nclass Sub(Base):\n    pass\n\n"
+    errors += "class Attr(ValueError):\n    pass\n\nclass Bare(ValueError):\n    pass\n\n"
+    errors += "class Orphan(ValueError):\n    pass\n"
+    module = "from .errors import Bare, Orphan, Sub\nfrom . import errors\n\n"
+    module += "def f(x):\n    if x:\n        raise Sub('no')\n    raise errors.Attr(x)\n"
+    module += "\ndef g():\n    raise Bare\n\nclass Local(Base):\n    pass\n"
+    assert orphaned_exceptions(errors, [module]) == ["Orphan"]
+
+
+def test_every_exception_is_raised_outside_errors():
+    errors = PACKAGE / "errors.py"
+    others = [p.read_text(encoding="utf-8") for p in MODULES if p != errors]
+    assert orphaned_exceptions(errors.read_text(encoding="utf-8"), others) == []
 
 
 def imported_modules(source: str) -> set[str]:
