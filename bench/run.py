@@ -66,7 +66,14 @@ def kernels() -> dict:
 
     def step48():
         orbit48[0] = polygon48(orbit48[0])
-    gauge = billiards.gauge_function(sampling.random_support_table(np.random.default_rng(5)))
+    table = sampling.random_support_table(np.random.default_rng(5))
+    gauge = billiards.gauge_function(table)
+
+    def kept(samples) -> str:
+        """How many of the series' modes the chop keeps, for the kernel's description."""
+        series = planar.TrigSeries.from_samples(samples, planar.TWO_PI)
+        return f"the chop keeps {series.chopped().orders.size} of {series.orders.size} modes"
+
     theta = rng.uniform(0.0, planar.TWO_PI, 2000)
     vectors = rng.uniform(0.5, 2.0, 2000)[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
 
@@ -90,11 +97,12 @@ def kernels() -> dict:
         ),
         "arclength_resample_1024": (
             lambda: planar.resample_by_density(speed, planar.TWO_PI, 1024),
-            "resample_by_density of a radial graph's speed, 1024 points in and out",
+            f"resample_by_density of a radial graph's speed, 1024 points in and out; {kept(speed)}",
         ),
         "unit_speed_loop_1024": (
             lambda: sampling.random_unit_speed_loop(np.random.default_rng(3)),
-            "random_unit_speed_loop at grid 1024: resample plus interpolation",
+            "random_unit_speed_loop at grid 1024: resample plus interpolation; "
+            "the chop keeps 25 of the speed's 513 modes",
         ),
         "deficit_objective_m4": (
             lambda: curves._deficit_objective(params, orders, alpha_idx, 256),
@@ -126,7 +134,8 @@ def kernels() -> dict:
         ),
         "smooth_gauge_1024": (
             lambda: gauge(vectors),
-            "gauge_function of a 1024-grid random_support_table at 2000 vectors",
+            "gauge_function of a 1024-grid random_support_table at 2000 vectors; "
+            f"{kept(table.support.values)}",
         ),
         "cli_launch_abstime": (
             launch_abstime,

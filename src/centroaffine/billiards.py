@@ -518,7 +518,8 @@ def gauge_function(ball):
     mapping an (M, 2) array of vectors to their gauges, exact to rounding.
     Gamma's gauge max_t [gamma_bar(t), w] is the support function of the
     symmetrized table at (w_y, -w_x).  A support body's max_t <u, w> / p is
-    where N = <u', w> p - <u, w> p' falls through zero, N' = -<u, w>(p + p'').
+    where N = <u', w> p - <u, w> p' falls through zero, N' = -<u, w>(p + p''),
+    with p's series chopped at its rounding floor (``TrigSeries.chopped``).
     """
     if isinstance(ball, ConvexTable):
         ball = ball.vertices if ball.kind == "polygon" else ball.support
@@ -538,7 +539,7 @@ def gauge_function(ball):
 
         return gauge
     if isinstance(ball, SupportBody):
-        p = TrigSeries.from_samples(ball.values, TWO_PI)
+        p = TrigSeries.from_samples(ball.values, TWO_PI).chopped()
 
         def gauge(vectors: np.ndarray) -> np.ndarray:
             w = np.atleast_2d(np.asarray(vectors, dtype=float))

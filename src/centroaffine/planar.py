@@ -123,10 +123,11 @@ class TrigSeries:
     derivative order are built on first use and kept.
     """
 
-    def __init__(self, orders, coeffs, period: float):
+    def __init__(self, orders, coeffs, period: float, nyquist: bool = False):
         self.orders = np.asarray(orders, dtype=float)
         self.coeffs = np.asarray(coeffs, dtype=complex)
         self.period = float(period)
+        self.nyquist = nyquist  # the last order is the Nyquist mode of the samples
         self.freq = 1j * (TWO_PI / self.period) * self.orders
         self._weighted = {0: self.coeffs}  # order -> (i omega m)^order * coeffs
 
@@ -140,7 +141,9 @@ class TrigSeries:
         # interior modes count twice (conjugate pair), the mean and Nyquist modes once
         weights = np.full(coeffs.shape[0], 2.0)
         weights[0] = weights[-1] = 1.0
-        return cls(np.arange(coeffs.shape[0]), _per_mode(weights, coeffs) * coeffs, period)
+        return cls(
+            np.arange(coeffs.shape[0]), _per_mode(weights, coeffs) * coeffs, period, nyquist=True
+        )
 
     def phases(self, t) -> np.ndarray:
         """The matrix e^{i omega m t}, one row per point and one column per order."""
@@ -159,17 +162,53 @@ class TrigSeries:
         """f (order 0) or its derivative of the given order at the points t."""
         return self.combine(self.phases(t), order)
 
-    def antiderivative(self) -> "TrigSeries":
-        """Series whose derivative is f without its mean and Nyquist modes.
+    def prefix(self, count: int) -> "TrigSeries":
+        """The series of the first ``count`` orders; its phase matrix is a column prefix."""
+        if count >= self.orders.size:
+            return self
+        return TrigSeries(self.orders[:count], self.coeffs[:count], self.period)
 
-        For a series from ``from_samples`` the first mode is the mean, which
-        has no periodic antiderivative, and the last is the Nyquist mode,
-        whose antiderivative the samples do not determine; both are dropped,
-        so its phase matrix is columns 1:-1 of the original's.
+    def chopped(self) -> "TrigSeries":
+        """The prefix that ends with the last order above the rounding floor of the samples.
+
+        Chebfun's chop for trigonometric series (J. L. Aurentz and
+        L. N. Trefethen, *Chopping a Chebyshev series*, ACM TOMS 43, 2017).
+        Read the series as ``from_samples`` of N = 2 max(orders) samples x_j.
+        Each coefficient is w_m / N times the sum of the N terms
+        x_j e^{-2 pi i j m / N}, with weight w_m <= 2.  Whatever order the
+        rfft adds them in, that sum is rounded by at most about N u times
+        the sum of the |x_j| (u = eps / 2; N. J. Higham, *Accuracy and
+        Stability of Numerical Algorithms*, 2nd ed., section 4.2), so the
+        coefficient by at most about w_m N u max |x_j| <= N eps sum_m |c_m|,
+        since |x_j| <= sum_m |c_m|.  That is the floor: 1.1e-13 sum |c| at
+        N = 512 and 2.3e-13 at N = 1024.  The FFT's own rounding is nearer
+        log2(N) u; the margin covers samples that carry rounding of their
+        own, such as a spectral derivative's, which grows with the order.
+        Every dropped coefficient lies at or below the floor, so the k-th
+        derivative moves by at most the floor times the sum of |omega m|^k
+        over the dropped orders.  At least the first order is kept, and a cut
+        series no longer holds the Nyquist mode.
         """
-        coeffs = self.coeffs[1:-1]
-        freq = self.freq[1:-1]
-        return TrigSeries(self.orders[1:-1], coeffs / _per_mode(freq, coeffs), self.period)
+        if self.orders.size == 0:  # e.g. the antiderivative of a constant
+            return self
+        mags = np.abs(self.coeffs).reshape(self.orders.size, -1)
+        floor = 2.0 * self.orders.max() * np.finfo(float).eps * mags.sum(axis=0).max()
+        above = np.nonzero(mags.max(axis=1) > floor)[0]
+        return self.prefix(int(above[-1]) + 1 if above.size else 1)
+
+    def antiderivative(self) -> "TrigSeries":
+        """Series whose derivative is f without its mean (and Nyquist) mode.
+
+        The first order is taken as the mean, which has no periodic
+        antiderivative, and is dropped.  A series from ``from_samples`` also
+        ends in the Nyquist mode, whose antiderivative the samples do not
+        determine, and drops it too, so its phase matrix is columns 1:-1 of
+        the original's; a chopped series keeps its last order (columns 1:).
+        """
+        stop = self.orders.size - 1 if self.nyquist else self.orders.size
+        coeffs = self.coeffs[1:stop]
+        freq = self.freq[1:stop]
+        return TrigSeries(self.orders[1:stop], coeffs / _per_mode(freq, coeffs), self.period)
 
 
 def _per_mode(factor: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -205,10 +244,14 @@ def resample_by_density(density, period: float, n_out: int) -> np.ndarray:
 
     Returns theta_0 = 0 <= theta_1 <= ... < period such that the running
     integral of ``density`` reaches j/n_out of its total at theta_j.  Used to
-    re-parameterize curves by arclength or by swept area.  Each Newton
-    iterate builds one phase matrix, which gives both the density and, as
-    columns 1:-1, its antiderivative; the previous iterate's matrix is
-    freed first, so at most one n_out x (N/2 + 1) matrix is alive.  The
+    re-parameterize curves by arclength or by swept area.  Newton runs on
+    the density's series chopped at its rounding floor
+    (``TrigSeries.chopped``), from the grid inversion of the mass
+    (``_mass_inverse``), and stops once the mass is within 1e-13 of its
+    total after at least one step, or after 50 steps.  Each iterate builds
+    one phase matrix, which gives both the density and, as its columns from
+    1 on, its antiderivative; the previous iterate's matrix is freed first,
+    so at most one n_out x K matrix is alive for the K kept orders.  The
     slice gives the same bits as a matrix built for the antiderivative's
     orders; padding its coefficients with zeros to the full order list
     would not.
@@ -216,28 +259,63 @@ def resample_by_density(density, period: float, n_out: int) -> np.ndarray:
     return _resample_with_phases(density, period, n_out)[0]
 
 
-def _resample_with_phases(density, period: float, n_out: int):
+def _resample_with_phases(density, period: float, n_out: int, keep: int = 1):
     """``resample_by_density`` and the phase matrix of the density's series at its result.
 
-    Any series from samples on the same grid as ``density`` can be evaluated
-    at the resampled points from that matrix with ``combine``.
+    The matrix has a column for each of the chopped density's orders, and
+    for at least the first ``keep`` orders, so any series from samples on
+    the same grid as ``density`` that is cut to that many orders can be
+    evaluated at the resampled points from it with ``combine``.
     """
-    series = TrigSeries.from_samples(density, period)
+    density = np.asarray(density, dtype=float)
+    if n_out < 1:
+        raise InvariantViolation(f"need at least one resampled point, got n_out = {n_out}")
+    if not np.all(np.isfinite(density)):
+        raise InvariantViolation("density contains non-finite values")
     if np.min(density) <= 0:
         raise InvariantViolation("density must be strictly positive")
+    dense = TrigSeries.from_samples(density, period)
+    series = dense.prefix(max(dense.chopped().orders.size, keep))
     mean = series.coeffs[0].real
     wiggle = series.antiderivative()
+    columns = slice(1, 1 + wiggle.orders.size)
     wiggle0 = wiggle.series(0.0)
     targets = mean * period * np.arange(n_out) / n_out
-    theta = period * np.arange(n_out) / n_out
+    theta = _mass_inverse(density, period, targets)
     for step in range(51):
         phases = None  # free the previous iterate's matrix before building the next
         phases = series.phases(theta)
-        val = mean * theta + (wiggle.combine(phases[:, 1:-1]) - wiggle0) - targets
-        if step == 50 or np.max(np.abs(val)) < 1e-13 * mean * period:
+        val = mean * theta + (wiggle.combine(phases[:, columns]) - wiggle0) - targets
+        # the start is only O(h^4) close, so at least one step is always taken
+        if step == 50 or (step > 0 and np.max(np.abs(val)) < 1e-13 * mean * period):
             break
         theta = theta - val / series.combine(phases)
     return theta, phases
+
+
+def _mass_inverse(density, period: float, targets) -> np.ndarray:
+    """Newton's start for ``resample_by_density``: the grid inversion of the cumulative mass.
+
+    The mass M(t) at the grid nodes comes from one FFT antiderivative of the
+    samples.  Between two nodes the inverse t(M) is the cubic Hermite
+    interpolant with slopes dt/dM = 1/density, whose error is O(h^4) in the
+    mass step h, so one Newton step then lands within rounding.
+    """
+    n = density.shape[0]
+    wiggle = _fourier_multiply(density, period, lambda k: np.r_[0.0, 1.0 / (1j * k[1:-1]), 0.0])
+    mean = float(np.mean(density))
+    nodes = np.append(mean * period * np.arange(n) / n + (wiggle - wiggle[0]), mean * period)
+    slopes = np.append(density, density[0])
+    j = np.clip(np.searchsorted(nodes, targets, side="right") - 1, 0, n - 1)
+    h = nodes[j + 1] - nodes[j]
+    s = (targets - nodes[j]) / h
+    lo = period * j / n
+    return (
+        (1.0 + 2.0 * s) * (1.0 - s) ** 2 * lo
+        + s * (1.0 - s) ** 2 * h / slopes[j]
+        + s * s * (3.0 - 2.0 * s) * (lo + period / n)
+        + s * s * (s - 1.0) * h / slopes[j + 1]
+    )
 
 
 @dataclass(frozen=True)

@@ -197,9 +197,13 @@ def random_unit_speed_loop(
     r = 1.0 + (scale * amp) @ np.cos(np.multiply.outer(orders, t) + phases[:, None])
     pts = r[:, None] * np.column_stack([np.cos(t), np.sin(t)])
     speed = np.hypot(*spectral_derivative(pts, TWO_PI, 1).T)
-    # the points share the speed's grid, so the resample's last phase matrix
-    # also interpolates them at the new parameters
-    _, at_arclength = _resample_with_phases(speed, TWO_PI, grid)
-    resampled = TrigSeries.from_samples(pts, TWO_PI).combine(at_arclength)
+    # the points share the speed's grid, so the resample's last phase matrix,
+    # kept at least as long as the points' chopped series, also interpolates
+    # them at the new parameters
+    points = TrigSeries.from_samples(pts, TWO_PI)
+    _, at_arclength = _resample_with_phases(
+        speed, TWO_PI, grid, keep=points.chopped().orders.size
+    )
+    resampled = points.prefix(at_arclength.shape[1]).combine(at_arclength)
     length = TWO_PI * float(np.mean(speed))
     return resampled * (TWO_PI / length)

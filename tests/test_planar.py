@@ -194,6 +194,20 @@ def test_resample_by_density_equidistributes():
     assert theta[0] == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_resample_by_density_rejects_a_non_finite_density(bad):
+    density = 1.0 + 0.5 * np.cos(TWO_PI * np.arange(64) / 64)
+    density[7] = bad
+    with pytest.raises(InvariantViolation, match="non-finite"):
+        resample_by_density(density, TWO_PI, 64)
+
+
+@pytest.mark.parametrize("n_out", [0, -3])
+def test_resample_by_density_rejects_an_empty_output(n_out):
+    with pytest.raises(InvariantViolation, match="n_out"):
+        resample_by_density(np.ones(64), TWO_PI, n_out)
+
+
 class TestSL2Matrix:
     def test_identity(self):
         m = SL2Matrix.identity()
