@@ -80,11 +80,14 @@ def kernels() -> dict:
     pythonpath = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=pythonpath)
 
-    def launch_abstime():
-        subprocess.run(
-            [sys.executable, "-m", "centroaffine.cli", "abstime", "--table", "triangle"],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=True,
-        )
+    def launch(*argv):
+        def run():
+            subprocess.run(
+                [sys.executable, "-m", "centroaffine.cli", *argv],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=True,
+            )
+
+        return run
 
     return {
         "area_form_spectral_derivative_1024": (
@@ -138,8 +141,13 @@ def kernels() -> dict:
             f"{kept(table.support.values)}",
         ),
         "cli_launch_abstime": (
-            launch_abstime,
+            launch("abstime", "--table", "triangle"),
             "one `python -m centroaffine.cli abstime --table triangle` process, from spawn to exit",
+        ),
+        "cli_launch_bs_check": (
+            launch("bs-check", "--n", "9", "--trials", "1000", "--seed", "1"),
+            "one `python -m centroaffine.cli bs-check --n 9 --trials 1000 --seed 1` process, "
+            "from spawn to exit",
         ),
     }
 

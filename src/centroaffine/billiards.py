@@ -30,7 +30,7 @@ from .planar import (
     SupportBody,
     TrigSeries,
     _bracketed_newton,
-    _fourier_multiply,
+    _node_antiderivative,
     area_form,
     signed_area,
 )
@@ -356,9 +356,7 @@ def far_field_flow(table: ConvexTable) -> FlowTrajectory:
         )
     p = far.symmetrized.values
     rate = 1.0 / (4.0 * p**2)
-    # antiderivative without the mean and Nyquist modes, shifted to vanish at the first node
-    wiggle = _fourier_multiply(rate, TWO_PI, lambda k: np.r_[0.0, 1.0 / (1j * k[1:-1]), 0.0])
-    tau = (wiggle - wiggle[0]) + float(np.mean(rate)) * far.symmetrized.grid
+    tau = _node_antiderivative(rate, TWO_PI) + float(np.mean(rate)) * far.symmetrized.grid
     period = float(np.mean(rate)) * TWO_PI
     times = np.concatenate([tau, [period]])
     points = np.vstack([far.points, far.points[:1]])

@@ -14,6 +14,11 @@ Input files are JSON:
            {"kind": "support", "values": [p_0, p_1, ...]}
 
 The --table flag also accepts the builtin names triangle, square, circle.
+
+Each handler imports the layers it runs when it is called, so a launch
+loads only its subcommand's layers: polygon-min and bs-check never load
+billiards or curves, and the billiards commands never load curves or
+sampling.
 """
 
 from __future__ import annotations
@@ -23,10 +28,10 @@ import json
 import math
 import sys
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import billiards, curves, duality, polygons, sampling
 from .errors import (
     ConfigError,
     InteriorPoint,
@@ -35,6 +40,10 @@ from .errors import (
 )
 from .planar import StarPolygon
 from .reports import Report, sweep_csv_bytes
+
+if TYPE_CHECKING:
+    from .billiards import ConvexTable
+    from .curves import DiffeoCurve
 
 
 # billiard-orbit holds the whole orbit and its JSON report (about 67 bytes a
@@ -118,7 +127,9 @@ def load_polygon(path: str) -> StarPolygon:
     return StarPolygon(verts)
 
 
-def load_curve(path: str) -> curves.DiffeoCurve:
+def load_curve(path: str) -> DiffeoCurve:
+    from .curves import DiffeoCurve
+
     data = _load_json(path)
     if "harmonics" not in data:
         raise ParseError(f"{path}: curve file needs a 'harmonics' field")
@@ -138,10 +149,12 @@ def load_curve(path: str) -> curves.DiffeoCurve:
         harmonics[order] = complex(
             _number(row[1], path, "a harmonic's re"), _number(row[2], path, "a harmonic's im")
         )
-    return curves.DiffeoCurve(harmonics)
+    return DiffeoCurve(harmonics)
 
 
-def load_table(spec: str) -> billiards.ConvexTable:
+def load_table(spec: str) -> ConvexTable:
+    from . import billiards
+
     if spec in ("triangle", "square", "circle"):
         return billiards.named_table(spec)
     data = _load_json(spec)
@@ -157,7 +170,7 @@ def load_table(spec: str) -> billiards.ConvexTable:
     raise ParseError(f"{spec}: table kind must be 'polygon' or 'support'")
 
 
-def _resolve_table(args) -> tuple[billiards.ConvexTable, str]:
+def _resolve_table(args) -> tuple[ConvexTable, str]:
     if getattr(args, "table", None) and getattr(args, "infile", None):
         raise ConfigError("give either --table or --in, not both")
     spec = getattr(args, "table", None) or getattr(args, "infile", None)
@@ -172,6 +185,8 @@ def _resolve_table(args) -> tuple[billiards.ConvexTable, str]:
 
 
 def _cmd_polygon_min(args) -> Report:
+    from . import polygons, sampling
+
     n = args.n
     if n is None or n < 3:
         raise ConfigError("polygon-min needs --n >= 3")
@@ -203,19 +218,19 @@ def _cmd_polygon_min(args) -> Report:
 
 
 def _cmd_bs_check(args) -> Report:
+    from . import duality, sampling
+
     if args.infile:
-        polys = [load_polygon(args.infile)]
+        polys = load_polygon(args.infile).vertices[None]
         inputs = {"in": args.infile}
     else:
         if args.n is None or args.n < 3:
             raise ConfigError("bs-check needs --n >= 3 or --in FILE")
         rng = sampling.rng_from_seed(args.seed)
-        polys = [
-            sampling.random_star_polygon(args.n, rng) for _ in range(args.trials)
-        ]
+        polys = sampling.random_star_polygons(args.n, args.trials, rng)
         inputs = {"n": args.n, "trials": args.trials, "seed": args.seed}
-    products = np.array([duality.bs_product_polygon(p) for p in polys])
-    bound = duality.bs_bound_polygon(polys[0].n)
+    products = duality.bs_product_polygon(polys)
+    bound = duality.bs_bound_polygon(polys.shape[1])
     worst = float(np.max(products))
     return Report(
         command="bs-check",
@@ -223,7 +238,7 @@ def _cmd_bs_check(args) -> Report:
         results={
             "max_product": worst,
             "min_slack": float(bound - worst),
-            "checked": len(polys),
+            "checked": polys.shape[0],
         },
         bounds={"area_product": bound},
         satisfied=bool(worst <= bound + 1e-8),
@@ -231,19 +246,26 @@ def _cmd_bs_check(args) -> Report:
     )
 
 
-def _cmd_ialpha_sweep(args) -> Report:
+def _curve_or_circle(args) -> tuple[DiffeoCurve, str]:
+    from .curves import DiffeoCurve
+
     if args.infile:
-        source = args.infile
-        diffeo = load_curve(args.infile)
-    else:
-        source = "circle"
-        diffeo = curves.DiffeoCurve({})
+        return load_curve(args.infile), args.infile
+    return DiffeoCurve({}), "circle"
+
+
+def _cmd_ialpha_sweep(args) -> Report:
+    from . import curves
+
+    diffeo, source = _curve_or_circle(args)
     alphas, values = curves.area_functional_profile(diffeo)
     n = alphas.shape[0] - 1
     g = args.grid
     if g < 2 or g > n:
         raise ConfigError(f"--grid must be between 2 and {n}")
-    idx = np.unique(np.round(np.linspace(0, n, g + 1)).astype(int))
+    idx = np.round(np.linspace(0, n, g + 1)).astype(int)
+    # sorted, so repeats are neighbours (np.unique would load numpy.ma)
+    idx = idx[np.diff(idx, prepend=-1) > 0]
     rows = [
         (float(alphas[i]), float(values[i]), math.sin(float(alphas[i]))) for i in idx
     ]
@@ -259,11 +281,15 @@ def _cmd_ialpha_sweep(args) -> Report:
 
 
 def _cmd_hessian_scan(args) -> Report:
+    from . import curves
+
     n_max = args.n if args.n is not None else 64
     return curves.positivity_scan(n_max, grid=args.grid)
 
 
 def _cmd_schwarzian_check(args) -> Report:
+    from . import curves, sampling
+
     rng = sampling.rng_from_seed(args.seed)
     identity_value = curves.average_schwarzian(curves.DiffeoCurve({}))
     max_avg = identity_value
@@ -290,12 +316,9 @@ def _cmd_schwarzian_check(args) -> Report:
 
 
 def _cmd_criticality(args) -> Report:
-    if args.infile:
-        source = args.infile
-        diffeo = load_curve(args.infile)
-    else:
-        source = "circle"
-        diffeo = curves.DiffeoCurve({})
+    from . import curves
+
+    diffeo, source = _curve_or_circle(args)
     curve = curves.curve_from_diffeo(diffeo)
     residual = float(np.max(np.abs(curves.criticality_residual(curve, args.alpha))))
     return Report(
@@ -309,6 +332,8 @@ def _cmd_criticality(args) -> Report:
 
 
 def _cmd_conjecture_search(args) -> Report:
+    from . import curves
+
     cutoff = args.n if args.n is not None else 4
     return curves.deficit_search(cutoff, args.trials, args.grid, args.seed)
 
@@ -324,6 +349,8 @@ def _parse_point(text: str) -> np.ndarray:
 
 
 def _cmd_billiard_orbit(args) -> Report:
+    from . import billiards
+
     if not 0 <= args.steps <= MAX_ORBIT_STEPS:
         raise ConfigError(f"--steps must be between 0 and {MAX_ORBIT_STEPS}")
     table, spec = _resolve_table(args)
@@ -349,6 +376,8 @@ def _cmd_billiard_orbit(args) -> Report:
 
 
 def _cmd_farfield_error(args) -> Report:
+    from . import billiards
+
     table, spec = _resolve_table(args)
     radii = sorted(set(args.radius)) if args.radius else [1e3, 1e4]
     if len(radii) < 2 or not all(math.isfinite(r) and r > 0 for r in radii):
@@ -387,6 +416,8 @@ def _cmd_farfield_error(args) -> Report:
 
 
 def _cmd_abstime(args) -> Report:
+    from . import billiards
+
     table, spec = _resolve_table(args)
     rep = billiards.absolute_time(table)
     inside = rep.lower_bound - 1e-9 <= rep.absolute_period <= rep.upper_bound + 1e-9
@@ -410,6 +441,8 @@ def _cmd_abstime(args) -> Report:
 
 
 def _cmd_chord_check(args) -> Report:
+    from . import curves, sampling
+
     rng = sampling.rng_from_seed(args.seed)
     offsets = 2.0 * math.pi * np.arange(1, 9) / 9.0
     worst_loop = math.inf

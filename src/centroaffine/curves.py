@@ -597,13 +597,13 @@ def deficit_search(
     _require_power_of_two(grid)
     orders = list(range(4, 2 * cutoff + 1, 2))
     dim = 1 + 2 * (len(orders) - 1)
-    alpha_idx = np.unique(
-        np.clip(
-            np.round((np.arange(1, alpha_grid + 1) * grid) / (alpha_grid + 1)).astype(int),
-            1,
-            grid - 1,
-        )
+    alpha_idx = np.clip(
+        np.round((np.arange(1, alpha_grid + 1) * grid) / (alpha_grid + 1)).astype(int),
+        1,
+        grid - 1,
     )
+    # sorted, so repeats are neighbours (np.unique would load numpy.ma)
+    alpha_idx = alpha_idx[np.diff(alpha_idx, prepend=0) > 0]
     if maxiter is None:
         maxiter = 400 * dim
     best = math.inf

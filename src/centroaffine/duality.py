@@ -19,7 +19,6 @@ from .errors import InvariantViolation
 from .planar import (
     SampledCurve,
     SupportBody,
-    StarPolygon,
     TWO_PI,
     _as_points,
     area_form,
@@ -28,10 +27,15 @@ from .planar import (
 from .polygons import cross_products, energy
 
 
-def bs_product_polygon(polygon: StarPolygon) -> float:
-    """Area product A(V) A(V*) = n (2n - energy) of the symmetric 2n-gons."""
-    n = polygon.n
-    return n * (2.0 * n - energy(cross_products(polygon)))
+def bs_product_polygon(polygon):
+    """Area product A(V) A(V*) = n (2n - energy) of the symmetric 2n-gons.
+
+    A StarPolygon gives a float.  A (count, n, 2) stack of half lists, such
+    as ``sampling.random_star_polygons`` draws, is checked by StarPolygon's
+    rules and gives one product per row, all in one pass.
+    """
+    c = cross_products(polygon)
+    return c.n * (2.0 * c.n - energy(c))
 
 
 def bs_bound_polygon(n: int) -> float:

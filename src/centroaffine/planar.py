@@ -29,10 +29,12 @@ DEFAULT_GRID = 1024
 TWO_PI = 2.0 * math.pi
 
 
-def _as_points(obj, name: str = "points") -> np.ndarray:
+def _as_points(obj, name: str = "points", ndim: int = 2) -> np.ndarray:
+    """Finite points of shape (N, 2), or a (count, N, 2) stack of them when ndim is 3."""
     pts = np.asarray(obj, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise InvariantViolation(f"{name} must have shape (N, 2), got {pts.shape}")
+    if pts.ndim != ndim or pts.shape[-1] != 2:
+        shape = "(N, 2)" if ndim == 2 else "(count, N, 2)"
+        raise InvariantViolation(f"{name} must have shape {shape}, got {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise InvariantViolation(f"{name} contains non-finite components")
     return pts
@@ -296,15 +298,17 @@ def _resample_with_phases(density, period: float, n_out: int, keep: int = 1):
 def _mass_inverse(density, period: float, targets) -> np.ndarray:
     """Newton's start for ``resample_by_density``: the grid inversion of the cumulative mass.
 
-    The mass M(t) at the grid nodes comes from one FFT antiderivative of the
-    samples.  Between two nodes the inverse t(M) is the cubic Hermite
-    interpolant with slopes dt/dM = 1/density, whose error is O(h^4) in the
-    mass step h, so one Newton step then lands within rounding.
+    The mass M(t) at the grid nodes is the mean's ramp plus
+    ``_node_antiderivative`` of the samples.  Between two nodes the inverse
+    t(M) is the cubic Hermite interpolant with slopes dt/dM = 1/density,
+    whose error is O(h^4) in the mass step h, so one Newton step then lands
+    within rounding.
     """
     n = density.shape[0]
-    wiggle = _fourier_multiply(density, period, lambda k: np.r_[0.0, 1.0 / (1j * k[1:-1]), 0.0])
     mean = float(np.mean(density))
-    nodes = np.append(mean * period * np.arange(n) / n + (wiggle - wiggle[0]), mean * period)
+    nodes = np.append(
+        mean * period * np.arange(n) / n + _node_antiderivative(density, period), mean * period
+    )
     slopes = np.append(density, density[0])
     j = np.clip(np.searchsorted(nodes, targets, side="right") - 1, 0, n - 1)
     h = nodes[j + 1] - nodes[j]
@@ -316,6 +320,16 @@ def _mass_inverse(density, period: float, targets) -> np.ndarray:
         + s * s * (3.0 - 2.0 * s) * (lo + period / n)
         + s * s * (s - 1.0) * h / slopes[j + 1]
     )
+
+
+def _node_antiderivative(samples, period: float) -> np.ndarray:
+    """Antiderivative of the samples without their mean, at the grid nodes, zero at the first.
+
+    One FFT: the mean mode has no periodic antiderivative, and the samples
+    do not determine the Nyquist mode's, so both are dropped.
+    """
+    wiggle = _fourier_multiply(samples, period, lambda k: np.r_[0.0, 1.0 / (1j * k[1:-1]), 0.0])
+    return wiggle - wiggle[0]
 
 
 @dataclass(frozen=True)
@@ -356,16 +370,50 @@ class SL2Matrix:
 def _shifted(vertices: np.ndarray, k: int) -> np.ndarray:
     """Rows V_{i+k}, i = 0..n-1, of a half list under the wrap V_{i+n} = -V_i.
 
-    Needs |k| < n.
+    The rows run along axis -2, so a (count, n, 2) stack shifts each half
+    list.  Needs |k| < n.
     """
+    n = vertices.shape[-2]
+    out = np.empty_like(vertices, order="C")
     if k >= 0:
-        return np.vstack([vertices[k:], -vertices[:k]])
-    return np.vstack([-vertices[k:], vertices[:k]])
+        out[..., : n - k, :] = vertices[..., k:, :]
+        np.negative(vertices[..., :k, :], out=out[..., n - k :, :])
+    else:
+        np.negative(vertices[..., k:, :], out=out[..., :-k, :])
+        out[..., -k:, :] = vertices[..., :k, :]
+    return out
 
 
 def _turn_angles(vertices: np.ndarray) -> np.ndarray:
     nxt = _shifted(vertices, 1)
-    return np.arctan2(area_form(vertices, nxt), np.sum(vertices * nxt, axis=1))
+    return np.arctan2(area_form(vertices, nxt), np.sum(vertices * nxt, axis=-1))
+
+
+def _star_vertices(vertices, ndim: int = 2) -> np.ndarray:
+    """Vertices that pass StarPolygon's rules, as a float array.
+
+    One (n, 2) half list, or with ndim 3 a (count, n, 2) stack of them,
+    checked in one pass; a stack raises what its first failing rule would
+    raise for a single row.
+    """
+    pts = _as_points(vertices, "vertices", ndim)
+    if pts.shape[-2] < 3:
+        raise InvariantViolation("a star polygon needs at least 3 vertices per half")
+    dev = np.max(np.abs(area_form(pts, _shifted(pts, 1)) - 1.0))
+    if dev > EPS_POLY:
+        raise InvariantViolation(
+            f"max |[V_i, V_i+1] - 1| = {dev:.3e} exceeds eps_poly = {EPS_POLY:.0e}"
+        )
+    turns = _turn_angles(pts)
+    if np.min(turns) < STAR_MARGIN:
+        raise NotStarShaped(
+            f"vertex arguments must increase strictly (min turn {np.min(turns):.3e})"
+        )
+    sweeps = np.sum(turns, axis=-1)
+    sweep = float(sweeps.flat[np.argmax(np.abs(sweeps - math.pi))])
+    if abs(sweep - math.pi) > 1e-8:
+        raise NotStarShaped(f"vertex arguments sweep {sweep:.6f}, expected pi")
+    return pts
 
 
 @dataclass(frozen=True)
@@ -380,25 +428,9 @@ class StarPolygon:
     vertices: np.ndarray
 
     def __post_init__(self):
-        pts = _as_points(self.vertices, "vertices")
-        if pts.shape[0] < 3:
-            raise InvariantViolation("a star polygon needs at least 3 vertices per half")
+        pts = _star_vertices(self.vertices)
         object.__setattr__(self, "vertices", pts)
         pts.setflags(write=False)
-        dev = np.max(np.abs(area_form(pts, _shifted(pts, 1)) - 1.0))
-        if dev > EPS_POLY:
-            raise InvariantViolation(
-                f"max |[V_i, V_i+1] - 1| = {dev:.3e} exceeds eps_poly = {EPS_POLY:.0e}"
-            )
-        turns = _turn_angles(pts)
-        if np.min(turns) < STAR_MARGIN:
-            raise NotStarShaped(
-                f"vertex arguments must increase strictly (min turn {np.min(turns):.3e})"
-            )
-        if abs(float(np.sum(turns)) - math.pi) > 1e-8:
-            raise NotStarShaped(
-                f"vertex arguments sweep {float(np.sum(turns)):.6f}, expected pi"
-            )
 
     @property
     def n(self) -> int:

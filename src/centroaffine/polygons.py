@@ -26,9 +26,10 @@ from .planar import (
     EPS_POLY,
     SL2Matrix,
     StarPolygon,
+    _shifted,
+    _star_vertices,
     _turn_angles,
     area_form,
-    _shifted,
     sl2_apply,
 )
 
@@ -37,13 +38,13 @@ EPS_GRAD = 1e-8
 
 @dataclass(frozen=True)
 class CrossProducts:
-    """The sequence c_i = [V_{i-1}, V_{i+1}] of a star polygon."""
+    """The sequence c_i = [V_{i-1}, V_{i+1}] of a star polygon; a stack has one row per polygon."""
 
     values: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.shape[0] < 3:
+        if vals.ndim not in (1, 2) or vals.shape[-1] < 3:
             raise InvariantViolation("need a flat sequence of at least 3 cross products")
         if not np.all(np.isfinite(vals)):
             raise InvariantViolation("cross products must be finite")
@@ -54,7 +55,7 @@ class CrossProducts:
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -90,19 +91,25 @@ class MinimizationResult:
     converged: bool
 
 
-def cross_products(polygon: StarPolygon) -> CrossProducts:
-    """c_i = [V_{i-1}, V_{i+1}] with the antipodal wrap at both ends."""
-    n = polygon.n
-    prev = polygon.extended(-1, n - 2)
-    nxt = polygon.extended(1, n)
-    return CrossProducts(area_form(prev, nxt))
+def cross_products(polygon) -> CrossProducts:
+    """c_i = [V_{i-1}, V_{i+1}] with the antipodal wrap at both ends.
+
+    Takes a StarPolygon, or a (count, n, 2) stack of half lists, which is
+    checked by StarPolygon's rules and gives one row per polygon.
+    """
+    v = polygon.vertices if isinstance(polygon, StarPolygon) else _star_vertices(polygon, 3)
+    return CrossProducts(area_form(_shifted(v, -1), _shifted(v, 1)))
 
 
-def energy(c) -> float:
-    """Total cross-product energy sum(c_i); at least 2 n cos(pi / n)."""
-    if isinstance(c, StarPolygon):
+def energy(c):
+    """Total cross-product energy sum(c_i); at least 2 n cos(pi / n).
+
+    A float for one polygon, an array with one energy per row for a stack.
+    """
+    if not isinstance(c, CrossProducts):
         c = cross_products(c)
-    return float(np.sum(c.values))
+    total = np.sum(c.values, axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def energy_lower_bound(n: int) -> float:
@@ -196,9 +203,12 @@ def reconstruct(c: CrossProducts, v_prev, v0) -> StarPolygon:
 
 
 def _ray_deltas(angles: np.ndarray) -> np.ndarray:
-    """Consecutive angular gaps including the antipodal wrap back to theta_0 + pi."""
-    ext = np.concatenate([angles, angles[:1] + math.pi])
-    return np.diff(ext)
+    """Consecutive angular gaps including the antipodal wrap back to theta_0 + pi.
+
+    Along the last axis, so a (count, n) stack gives the gaps of each row.
+    """
+    ext = np.concatenate([angles, angles[..., :1] + math.pi], axis=-1)
+    return np.diff(ext, axis=-1)
 
 
 def normalize_rays(rays: RayConfiguration) -> StarPolygon:
@@ -210,23 +220,31 @@ def normalize_rays(rays: RayConfiguration) -> StarPolygon:
     one-parameter fiber and a codimension-one solvability condition, exposed
     separately by :func:`even_fiber_residual`.
     """
-    n = rays.n
-    if n % 2 == 0:
+    if rays.n % 2 == 0:
         raise EvenN("ray normalization is determined only for odd ray counts")
-    gaps = np.sin(_ray_deltas(rays.angles))
+    return StarPolygon(_ray_points(rays.angles))
+
+
+def _ray_points(angles: np.ndarray) -> np.ndarray:
+    """The points of :func:`normalize_rays` on an odd number n of rays, before StarPolygon's checks.
+
+    ``angles`` is (n,) or a (count, n) stack, one configuration per row,
+    for (n, 2) or (count, n, 2) points; each row gets the arithmetic of a
+    single configuration.
+    """
+    n = angles.shape[-1]
+    gaps = np.sin(_ray_deltas(angles))
     if np.min(gaps) <= 1e-12:
         raise DegenerateRays("two rays nearly coincide; no finite normalization")
     b = -np.log(gaps)
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     # s_i = (1/2) sum_k (-1)^k b_{i+k}; solves s_i + s_{i+1} = b_i for odd n
-    s0 = 0.5 * float(np.sum(signs * b))
-    s = np.empty(n)
-    s[0] = s0
+    s = np.empty(b.shape)
+    s[..., 0] = 0.5 * np.sum(signs * b, axis=-1)
     for i in range(n - 1):
-        s[i + 1] = b[i] - s[i]
-    t = np.exp(s)
-    u = np.column_stack([np.cos(rays.angles), np.sin(rays.angles)])
-    return StarPolygon(t[:, None] * u)
+        s[..., i + 1] = b[..., i] - s[..., i]
+    u = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    return np.exp(s)[..., None] * u
 
 
 def even_fiber_residual(rays: RayConfiguration) -> float:

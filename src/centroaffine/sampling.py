@@ -10,11 +10,10 @@ except where noted.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .billiards import ConvexTable, polygon_table, support_table
-from .curves import DELTA_DIFFEO, DiffeoCurve
 from .errors import InvariantViolation, NotStarShaped
 from .planar import (
     DEFAULT_GRID,
@@ -25,13 +24,20 @@ from .planar import (
     spectral_derivative,
     TrigSeries,
     _resample_with_phases,
+    _star_vertices,
 )
 from .polygons import (
     RayConfiguration,
-    normalize_rays,
+    _ray_points,
     project_to_unit_cross,
     regular_polygon,
 )
+
+# Tables and diffeomorphisms import their layers when drawn, so that a
+# process drawing only polygons or loops never loads billiards or curves.
+if TYPE_CHECKING:
+    from .billiards import ConvexTable
+    from .curves import DiffeoCurve
 
 
 def rng_from_seed(seed) -> np.random.Generator:
@@ -53,11 +59,24 @@ def random_ray_configuration(n: int, rng: np.random.Generator) -> RayConfigurati
     """n rays with angular gaps bounded away from 0 and pi."""
     if n < 3:
         raise InvariantViolation("need at least 3 rays")
-    raw = rng.uniform(0.25, 1.0, size=n)
-    gaps = math.pi * raw / float(np.sum(raw))
-    theta0 = rng.uniform(0.0, math.pi / 8.0)
-    angles = theta0 + np.concatenate([[0.0], np.cumsum(gaps[:-1])])
-    return RayConfiguration(angles)
+    return RayConfiguration(_ray_angles(*_ray_draws(n, rng)))
+
+
+def _ray_draws(n: int, rng: np.random.Generator):
+    """The draws of one ray configuration: n gap weights, then the first angle."""
+    return rng.uniform(0.25, 1.0, size=n), rng.uniform(0.0, math.pi / 8.0)
+
+
+def _ray_angles(raw: np.ndarray, theta0) -> np.ndarray:
+    """Angles whose gaps split pi in the proportions ``raw``, from theta0 on.
+
+    ``raw`` is (n,) with a scalar theta0, or (count, n) with one theta0 per
+    row; each row gets the arithmetic of a single configuration.
+    """
+    gaps = math.pi * raw / np.sum(raw, axis=-1, keepdims=True)
+    steps = np.cumsum(gaps[..., :-1], axis=-1)
+    first = np.zeros(steps.shape[:-1] + (1,))
+    return np.asarray(theta0)[..., None] + np.concatenate([first, steps], axis=-1)
 
 
 def random_star_polygon(
@@ -65,28 +84,63 @@ def random_star_polygon(
 ) -> StarPolygon:
     """Random polygon with unit cross products, optionally moved by random SL(2).
 
-    Odd n normalizes a random ray configuration exactly; even n perturbs the
-    regular polygon and projects back onto the unit-cross manifold, shrinking
-    the perturbation on the rare retry.
+    Odd n normalizes a random ray configuration exactly: the one-polygon
+    case of :func:`random_star_polygons`.  Even n perturbs the regular
+    polygon and projects back onto the unit-cross manifold, shrinking the
+    perturbation on the rare retry.
     """
     if n % 2 == 1:
-        poly = normalize_rays(random_ray_configuration(n, rng))
-    else:
-        poly = None
-        scale = spread
-        for _ in range(12):
-            base = regular_polygon(n).vertices
-            cand = base + scale * rng.normal(size=base.shape)
-            try:
-                poly = StarPolygon(project_to_unit_cross(cand))
-                break
-            except (NotStarShaped, InvariantViolation):
-                scale *= 0.5
-        if poly is None:
-            raise InvariantViolation("could not draw a star polygon; spread too large")
+        return StarPolygon(random_star_polygons(n, 1, rng, spread, transform)[0])
+    poly = None
+    scale = spread
+    for _ in range(12):
+        base = regular_polygon(n).vertices
+        cand = base + scale * rng.normal(size=base.shape)
+        try:
+            poly = StarPolygon(project_to_unit_cross(cand))
+            break
+        except (NotStarShaped, InvariantViolation):
+            scale *= 0.5
+    if poly is None:
+        raise InvariantViolation("could not draw a star polygon; spread too large")
     if transform:
         poly = sl2_apply(random_sl2(rng), poly)
     return poly
+
+
+def random_star_polygons(
+    n: int, count: int, rng: np.random.Generator, spread: float = 0.15, transform: bool = True
+) -> np.ndarray:
+    """``count`` random star polygons as a (count, n, 2) stack of half lists.
+
+    Row k equals the k-th of ``count`` calls of :func:`random_star_polygon`
+    with the same generator, bit for bit, and the generator ends in the same
+    state.  Odd n takes each polygon's draws in the same order (its rays,
+    then its SL(2) matrix) and then builds the rays, normalizes them, moves
+    them and checks StarPolygon's rules for the whole stack at once, with
+    the same arithmetic per row.  The rays' own checks are left to the
+    normalization (``DegenerateRays``) and StarPolygon's rules.  Even n
+    projects one polygon at a time.
+    """
+    if n < 3:
+        raise InvariantViolation("need at least 3 rays")
+    if count < 1:
+        raise InvariantViolation(f"need at least one polygon, got count = {count}")
+    if n % 2 == 0:
+        return np.stack(
+            [random_star_polygon(n, rng, spread, transform).vertices for _ in range(count)]
+        )
+    raw = np.empty((count, n))
+    theta0 = np.empty(count)
+    moves = np.empty((count, 2, 2))
+    for k in range(count):
+        raw[k], theta0[k] = _ray_draws(n, rng)
+        if transform:
+            moves[k] = random_sl2(rng).array
+    points = _ray_points(_ray_angles(raw, theta0))
+    if transform:
+        points = points @ np.swapaxes(moves, 1, 2)
+    return _star_vertices(points, 3)
 
 
 def near_regular_polygon(
@@ -109,6 +163,8 @@ def random_diffeo(
     Coefficients are rescaled so that max |g'| <= strength * (1 - delta),
     which keeps f' above the diffeomorphism floor without rejection.
     """
+    from .curves import DELTA_DIFFEO, DiffeoCurve
+
     if max_order < 2:
         raise InvariantViolation("need max_order >= 2")
     if not 0.0 < strength < 1.0:
@@ -148,6 +204,8 @@ def random_convex_polygon_table(
     rng: np.random.Generator, n_points: int = 10
 ) -> ConvexTable:
     """Hull of a Gaussian cloud, recentered so the origin is interior."""
+    from .billiards import polygon_table
+
     if n_points < 3:
         raise InvariantViolation("need at least 3 cloud points")
     for _ in range(32):
@@ -165,6 +223,8 @@ def random_support_table(
     rng: np.random.Generator, max_order: int = 6, grid: int = DEFAULT_GRID
 ) -> ConvexTable:
     """Smooth convex table from a random truncated support expansion."""
+    from .billiards import support_table
+
     if max_order < 2:
         raise InvariantViolation("need max_order >= 2")
     orders = np.arange(1, max_order + 1)

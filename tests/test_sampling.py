@@ -9,10 +9,14 @@ from centroaffine import (
     StarPolygon,
     area_form,
     cross_products,
+    sl2_apply,
     spectral_derivative,
 )
 from centroaffine.curves import DELTA_DIFFEO
-from centroaffine.errors import InvariantViolation
+from centroaffine.duality import bs_product_polygon
+from centroaffine.errors import DegenerateRays, InvariantViolation, NotStarShaped
+from centroaffine.planar import _star_vertices
+from centroaffine.polygons import _ray_points, regular_polygon
 from centroaffine.sampling import (
     _hull,
     near_regular_polygon,
@@ -21,6 +25,7 @@ from centroaffine.sampling import (
     random_ray_configuration,
     random_sl2,
     random_star_polygon,
+    random_star_polygons,
     random_support_table,
     random_unit_speed_loop,
     rng_from_seed,
@@ -148,3 +153,102 @@ def test_random_unit_speed_loop(rng):
     loop = random_unit_speed_loop(rng)
     d = spectral_derivative(loop, TWO_PI)
     np.testing.assert_allclose(np.hypot(d[:, 0], d[:, 1]), 1.0, atol=1e-9)
+
+
+def _reference_ray_angles(n, rng):
+    """The draws and arithmetic of one ray configuration, one at a time."""
+    raw = rng.uniform(0.25, 1.0, size=n)
+    gaps = math.pi * raw / float(np.sum(raw))
+    theta0 = rng.uniform(0.0, math.pi / 8.0)
+    return theta0 + np.concatenate([[0.0], np.cumsum(gaps[:-1])])
+
+
+def test_random_ray_configuration_matches_the_reference():
+    rng, ref_rng = rng_from_seed(5), rng_from_seed(5)
+    for n in (3, 8, 21):
+        reference = _reference_ray_angles(n, ref_rng)
+        assert np.array_equal(random_ray_configuration(n, rng).angles, reference)
+
+
+def _reference_star_polygon(n, rng):
+    """One odd-n draw with the per-polygon arithmetic of the one-at-a-time generator."""
+    angles = _reference_ray_angles(n, rng)
+    gaps = np.sin(np.diff(np.concatenate([angles, angles[:1] + math.pi])))
+    b = -np.log(gaps)
+    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    s = np.empty(n)
+    s[0] = 0.5 * float(np.sum(signs * b))
+    for i in range(n - 1):
+        s[i + 1] = b[i] - s[i]
+    u = np.column_stack([np.cos(angles), np.sin(angles)])
+    return sl2_apply(random_sl2(rng), StarPolygon(np.exp(s)[:, None] * u))
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 21, 4, 6])
+def test_random_star_polygons_match_one_at_a_time(n):
+    count = 40
+    rng = rng_from_seed(123456)
+    stack = random_star_polygons(n, count, rng)
+    one_rng = rng_from_seed(123456)
+    one = np.stack([random_star_polygon(n, one_rng).vertices for _ in range(count)])
+    assert stack.shape == (count, n, 2)
+    assert np.array_equal(stack, one)
+    assert rng.random() == one_rng.random()  # the same draws were taken
+    if n % 2:
+        ref_rng = rng_from_seed(123456)
+        ref = np.stack([_reference_star_polygon(n, ref_rng).vertices for _ in range(count)])
+        assert np.array_equal(stack, ref)
+
+
+def test_stacked_products_match_one_at_a_time():
+    stack = random_star_polygons(9, 50, rng_from_seed(1))
+    products = bs_product_polygon(stack)
+    assert np.array_equal(products, [bs_product_polygon(StarPolygon(v)) for v in stack])
+    rows = [cross_products(StarPolygon(v)).values for v in stack]
+    assert np.array_equal(cross_products(stack).values, rows)
+
+
+def _planted(row):
+    stack = random_star_polygons(5, 6, rng_from_seed(2))
+    stack[3] = row
+    return stack
+
+
+def _star_stack(stack):
+    return _star_vertices(stack, 3)
+
+
+# each row breaks one StarPolygon rule: a cross product off one, a sweep of 3 pi
+_OFF_MANIFOLD = 1.01 * regular_polygon(5).vertices
+_TURN = 0.6 * math.pi
+_NON_STAR = np.column_stack([np.cos(_TURN * np.arange(5)), np.sin(_TURN * np.arange(5))])
+_NON_STAR /= math.sqrt(math.sin(_TURN))
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [(_OFF_MANIFOLD, InvariantViolation), (_NON_STAR, NotStarShaped)],
+    ids=["off-manifold", "non-star"],
+)
+def test_planted_row_raises_what_star_polygon_raises(row, error):
+    with pytest.raises(InvariantViolation) as single:
+        StarPolygon(row)
+    assert single.type is error
+    for check in (_star_stack, cross_products, bs_product_polygon):
+        with pytest.raises(InvariantViolation) as stacked:
+            check(_planted(row))
+        assert stacked.type is error
+
+
+def test_planted_non_finite_row_is_refused():
+    row = regular_polygon(5).vertices.copy()
+    row[2, 0] = math.inf
+    with pytest.raises(InvariantViolation, match="non-finite"):
+        _star_stack(_planted(row))
+
+
+def test_stacked_degenerate_rays_raise():
+    angles = np.tile(np.linspace(0.0, 2.0, 5), (3, 1))
+    angles[1, 2] = angles[1, 1] + 1e-14
+    with pytest.raises(DegenerateRays):
+        _ray_points(angles)
