@@ -28,8 +28,8 @@ if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-# The layers load on first use of one of their names (PEP 562), so that a CLI
-# launch imports only the layers its subcommand runs.
+# The layers load on first use of one of their names (PEP 562), so that
+# importing the package, or one layer, loads no layer it does not need.
 _EXPORTS = {
     "billiards": (
         "AbsoluteTimeReport", "ConvexTable", "FarFieldCurve", "FarFieldError", "FlowTrajectory",
@@ -75,7 +75,7 @@ _EXPORTS = {
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
 _LAYERS = tuple(_EXPORTS)
 
-__all__ = sorted(_LAYER_OF)
+__all__ = sorted({*_LAYERS, *_LAYER_OF})
 __version__ = "0.1.0"
 
 

@@ -14,11 +14,6 @@ Input files are JSON:
            {"kind": "support", "values": [p_0, p_1, ...]}
 
 The --table flag also accepts the builtin names triangle, square, circle.
-
-Each handler imports the layers it runs when it is called, so a launch
-loads only its subcommand's layers: polygon-min and bs-check never load
-billiards or curves, and the billiards commands never load curves or
-sampling.
 """
 
 from __future__ import annotations
@@ -28,10 +23,13 @@ import json
 import math
 import sys
 import time
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+# Every layer loads with the CLI, not in its handler: perfbench/boot.py counts
+# this import as a launch's set-up and, when tracing, wraps every layer before
+# the command runs, so a layer loaded later would be time no figure counts.
+from . import billiards, curves, duality, polygons, sampling
 from .errors import (
     ConfigError,
     InteriorPoint,
@@ -40,10 +38,6 @@ from .errors import (
 )
 from .planar import StarPolygon
 from .reports import Report, sweep_csv_bytes
-
-if TYPE_CHECKING:
-    from .billiards import ConvexTable
-    from .curves import DiffeoCurve
 
 
 # billiard-orbit holds the whole orbit and its JSON report (about 67 bytes a
@@ -127,9 +121,7 @@ def load_polygon(path: str) -> StarPolygon:
     return StarPolygon(verts)
 
 
-def load_curve(path: str) -> DiffeoCurve:
-    from .curves import DiffeoCurve
-
+def load_curve(path: str) -> curves.DiffeoCurve:
     data = _load_json(path)
     if "harmonics" not in data:
         raise ParseError(f"{path}: curve file needs a 'harmonics' field")
@@ -149,12 +141,10 @@ def load_curve(path: str) -> DiffeoCurve:
         harmonics[order] = complex(
             _number(row[1], path, "a harmonic's re"), _number(row[2], path, "a harmonic's im")
         )
-    return DiffeoCurve(harmonics)
+    return curves.DiffeoCurve(harmonics)
 
 
-def load_table(spec: str) -> ConvexTable:
-    from . import billiards
-
+def load_table(spec: str) -> billiards.ConvexTable:
     if spec in ("triangle", "square", "circle"):
         return billiards.named_table(spec)
     data = _load_json(spec)
@@ -170,7 +160,7 @@ def load_table(spec: str) -> ConvexTable:
     raise ParseError(f"{spec}: table kind must be 'polygon' or 'support'")
 
 
-def _resolve_table(args) -> tuple[ConvexTable, str]:
+def _resolve_table(args) -> tuple[billiards.ConvexTable, str]:
     if getattr(args, "table", None) and getattr(args, "infile", None):
         raise ConfigError("give either --table or --in, not both")
     spec = getattr(args, "table", None) or getattr(args, "infile", None)
@@ -185,8 +175,6 @@ def _resolve_table(args) -> tuple[ConvexTable, str]:
 
 
 def _cmd_polygon_min(args) -> Report:
-    from . import polygons, sampling
-
     n = args.n
     if n is None or n < 3:
         raise ConfigError("polygon-min needs --n >= 3")
@@ -218,8 +206,6 @@ def _cmd_polygon_min(args) -> Report:
 
 
 def _cmd_bs_check(args) -> Report:
-    from . import duality, sampling
-
     if args.infile:
         polys = load_polygon(args.infile).vertices[None]
         inputs = {"in": args.infile}
@@ -246,18 +232,13 @@ def _cmd_bs_check(args) -> Report:
     )
 
 
-def _curve_or_circle(args) -> tuple[DiffeoCurve, str]:
-    from .curves import DiffeoCurve
-
-    if args.infile:
-        return load_curve(args.infile), args.infile
-    return DiffeoCurve({}), "circle"
-
-
 def _cmd_ialpha_sweep(args) -> Report:
-    from . import curves
-
-    diffeo, source = _curve_or_circle(args)
+    if args.infile:
+        source = args.infile
+        diffeo = load_curve(args.infile)
+    else:
+        source = "circle"
+        diffeo = curves.DiffeoCurve({})
     alphas, values = curves.area_functional_profile(diffeo)
     n = alphas.shape[0] - 1
     g = args.grid
@@ -281,15 +262,11 @@ def _cmd_ialpha_sweep(args) -> Report:
 
 
 def _cmd_hessian_scan(args) -> Report:
-    from . import curves
-
     n_max = args.n if args.n is not None else 64
     return curves.positivity_scan(n_max, grid=args.grid)
 
 
 def _cmd_schwarzian_check(args) -> Report:
-    from . import curves, sampling
-
     rng = sampling.rng_from_seed(args.seed)
     identity_value = curves.average_schwarzian(curves.DiffeoCurve({}))
     max_avg = identity_value
@@ -316,9 +293,12 @@ def _cmd_schwarzian_check(args) -> Report:
 
 
 def _cmd_criticality(args) -> Report:
-    from . import curves
-
-    diffeo, source = _curve_or_circle(args)
+    if args.infile:
+        source = args.infile
+        diffeo = load_curve(args.infile)
+    else:
+        source = "circle"
+        diffeo = curves.DiffeoCurve({})
     curve = curves.curve_from_diffeo(diffeo)
     residual = float(np.max(np.abs(curves.criticality_residual(curve, args.alpha))))
     return Report(
@@ -332,8 +312,6 @@ def _cmd_criticality(args) -> Report:
 
 
 def _cmd_conjecture_search(args) -> Report:
-    from . import curves
-
     cutoff = args.n if args.n is not None else 4
     return curves.deficit_search(cutoff, args.trials, args.grid, args.seed)
 
@@ -349,8 +327,6 @@ def _parse_point(text: str) -> np.ndarray:
 
 
 def _cmd_billiard_orbit(args) -> Report:
-    from . import billiards
-
     if not 0 <= args.steps <= MAX_ORBIT_STEPS:
         raise ConfigError(f"--steps must be between 0 and {MAX_ORBIT_STEPS}")
     table, spec = _resolve_table(args)
@@ -376,8 +352,6 @@ def _cmd_billiard_orbit(args) -> Report:
 
 
 def _cmd_farfield_error(args) -> Report:
-    from . import billiards
-
     table, spec = _resolve_table(args)
     radii = sorted(set(args.radius)) if args.radius else [1e3, 1e4]
     if len(radii) < 2 or not all(math.isfinite(r) and r > 0 for r in radii):
@@ -416,8 +390,6 @@ def _cmd_farfield_error(args) -> Report:
 
 
 def _cmd_abstime(args) -> Report:
-    from . import billiards
-
     table, spec = _resolve_table(args)
     rep = billiards.absolute_time(table)
     inside = rep.lower_bound - 1e-9 <= rep.absolute_period <= rep.upper_bound + 1e-9
@@ -441,8 +413,6 @@ def _cmd_abstime(args) -> Report:
 
 
 def _cmd_chord_check(args) -> Report:
-    from . import curves, sampling
-
     rng = sampling.rng_from_seed(args.seed)
     offsets = 2.0 * math.pi * np.arange(1, 9) / 9.0
     worst_loop = math.inf

@@ -19,8 +19,11 @@ from .errors import InvariantViolation
 from .planar import (
     SampledCurve,
     SupportBody,
+    StarPolygon,
     TWO_PI,
     _as_points,
+    _shifted,
+    _star_vertices,
     area_form,
     signed_area,
 )
@@ -34,8 +37,13 @@ def bs_product_polygon(polygon):
     as ``sampling.random_star_polygons`` draws, is checked by StarPolygon's
     rules and gives one product per row, all in one pass.
     """
-    c = cross_products(polygon)
-    return c.n * (2.0 * c.n - energy(c))
+    if isinstance(polygon, StarPolygon):
+        n = polygon.n
+        return n * (2.0 * n - energy(cross_products(polygon)))
+    v = _star_vertices(polygon, 3)
+    n = v.shape[1]
+    # the energy of each row: the sum of its cross products [V_{i-1}, V_{i+1}]
+    return n * (2.0 * n - np.sum(area_form(_shifted(v, -1), _shifted(v, 1)), axis=-1))
 
 
 def bs_bound_polygon(n: int) -> float:

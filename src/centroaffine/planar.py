@@ -386,7 +386,7 @@ def _shifted(vertices: np.ndarray, k: int) -> np.ndarray:
 
 def _turn_angles(vertices: np.ndarray) -> np.ndarray:
     nxt = _shifted(vertices, 1)
-    return np.arctan2(area_form(vertices, nxt), np.sum(vertices * nxt, axis=-1))
+    return np.arctan2(area_form(vertices, nxt), (vertices * nxt).sum(axis=-1))
 
 
 def _star_vertices(vertices, ndim: int = 2) -> np.ndarray:

@@ -26,10 +26,9 @@ from .planar import (
     EPS_POLY,
     SL2Matrix,
     StarPolygon,
-    _shifted,
-    _star_vertices,
     _turn_angles,
     area_form,
+    _shifted,
     sl2_apply,
 )
 
@@ -38,13 +37,13 @@ EPS_GRAD = 1e-8
 
 @dataclass(frozen=True)
 class CrossProducts:
-    """The sequence c_i = [V_{i-1}, V_{i+1}] of a star polygon; a stack has one row per polygon."""
+    """The sequence c_i = [V_{i-1}, V_{i+1}] of a star polygon."""
 
     values: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.ndim not in (1, 2) or vals.shape[-1] < 3:
+        if vals.ndim != 1 or vals.shape[0] < 3:
             raise InvariantViolation("need a flat sequence of at least 3 cross products")
         if not np.all(np.isfinite(vals)):
             raise InvariantViolation("cross products must be finite")
@@ -55,7 +54,7 @@ class CrossProducts:
 
     @property
     def n(self) -> int:
-        return self.values.shape[-1]
+        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -91,25 +90,19 @@ class MinimizationResult:
     converged: bool
 
 
-def cross_products(polygon) -> CrossProducts:
-    """c_i = [V_{i-1}, V_{i+1}] with the antipodal wrap at both ends.
-
-    Takes a StarPolygon, or a (count, n, 2) stack of half lists, which is
-    checked by StarPolygon's rules and gives one row per polygon.
-    """
-    v = polygon.vertices if isinstance(polygon, StarPolygon) else _star_vertices(polygon, 3)
-    return CrossProducts(area_form(_shifted(v, -1), _shifted(v, 1)))
+def cross_products(polygon: StarPolygon) -> CrossProducts:
+    """c_i = [V_{i-1}, V_{i+1}] with the antipodal wrap at both ends."""
+    n = polygon.n
+    prev = polygon.extended(-1, n - 2)
+    nxt = polygon.extended(1, n)
+    return CrossProducts(area_form(prev, nxt))
 
 
-def energy(c):
-    """Total cross-product energy sum(c_i); at least 2 n cos(pi / n).
-
-    A float for one polygon, an array with one energy per row for a stack.
-    """
-    if not isinstance(c, CrossProducts):
+def energy(c) -> float:
+    """Total cross-product energy sum(c_i); at least 2 n cos(pi / n)."""
+    if isinstance(c, StarPolygon):
         c = cross_products(c)
-    total = np.sum(c.values, axis=-1)
-    return float(total) if total.ndim == 0 else total
+    return float(np.sum(c.values))
 
 
 def energy_lower_bound(n: int) -> float:
@@ -285,9 +278,12 @@ def canonical_gauge(polygon: StarPolygon) -> StarPolygon:
 # ---------------------------------------------------------------------------
 
 
+_PERP_SIGNS = np.array([1.0, -1.0])
+
+
 def _perp(d: np.ndarray) -> np.ndarray:
     """Rows perp(x, y) = (y, -x), so that [w, b] = <w, perp(b)>."""
-    return np.column_stack([d[:, 1], -d[:, 0]])
+    return d[:, ::-1] * _PERP_SIGNS
 
 
 def _energy_gradient(v: np.ndarray) -> np.ndarray:
@@ -300,7 +296,7 @@ def _energy_gradient(v: np.ndarray) -> np.ndarray:
 
 def _poly_energy(v: np.ndarray) -> float:
     """sum_i [V_{i-1}, V_{i+1}] on an (n, 2) vertex array."""
-    return float(np.sum(area_form(_shifted(v, -1), _shifted(v, 1))))
+    return float(area_form(_shifted(v, -1), _shifted(v, 1)).sum())
 
 
 def _constraint_values(v: np.ndarray) -> np.ndarray:
@@ -322,10 +318,11 @@ def _least_norm_step(v: np.ndarray, r: np.ndarray) -> np.ndarray:
     n = v.shape[0]
     nxt = _shifted(v, 1)
     rows = np.arange(n)
-    jjt = np.diag(np.sum(v * v, axis=1) + np.sum(nxt * nxt, axis=1))
-    off = -np.sum(v * _shifted(v, 2), axis=1)
-    jjt[rows, (rows + 1) % n] = off
-    jjt[(rows + 1) % n, rows] = off
+    cols = (rows + 1) % n
+    jjt = np.diag((v * v).sum(axis=1) + (nxt * nxt).sum(axis=1))
+    off = -(v * _shifted(v, 2)).sum(axis=1)
+    jjt[rows, cols] = off
+    jjt[cols, rows] = off
     y = np.linalg.solve(jjt, r)[:, None]
     return _perp(y * nxt - _shifted(y * v, -1))
 
@@ -341,7 +338,7 @@ def project_to_unit_cross(vertices, tol: float = 1e-12, maxiter: int = 40) -> np
     v = np.array(vertices, dtype=float)
     for _ in range(maxiter):
         phi = _constraint_values(v)
-        if np.max(np.abs(phi)) < tol:
+        if np.abs(phi).max() < tol:
             return v
         v = v - _least_norm_step(v, phi)
     raise InvariantViolation("Newton projection onto unit cross products stalled")
@@ -349,7 +346,7 @@ def project_to_unit_cross(vertices, tol: float = 1e-12, maxiter: int = 40) -> np
 
 def _is_star(v: np.ndarray) -> bool:
     turns = _turn_angles(v)
-    return bool(np.min(turns) > 0 and abs(float(np.sum(turns)) - math.pi) < 1e-6)
+    return bool(turns.min() > 0 and abs(float(turns.sum()) - math.pi) < 1e-6)
 
 
 def _descend(v: np.ndarray, gtol: float, maxiter: int):

@@ -1,4 +1,4 @@
-"""What a launch loads: the layers each subcommand imports, and the package's lazy names."""
+"""What a launch loads: every layer with the CLI, no numpy.ma, and the lazy names and imports."""
 
 import importlib
 import json
@@ -71,39 +71,42 @@ def run_fresh(code: str) -> str:
     return proc.stdout
 
 
-def loaded_by(argv: list[str]) -> set[str]:
-    """Package layers and numpy.ma in sys.modules after one CLI run in a fresh process."""
+def loads_numpy_ma(argv: list[str]) -> bool:
+    """Whether one CLI run in a fresh process leaves numpy.ma in sys.modules."""
     probe = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "from centroaffine import cli\n"
         "out, err = io.StringIO(), io.StringIO()\n"
         "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
         f"    cli.main({argv!r})\n"
-        "print(json.dumps(sorted(m for m in sys.modules"
-        " if m.startswith('centroaffine.') or m == 'numpy.ma')))\n"
+        "print('numpy.ma' in sys.modules)\n"
     )
-    return set(json.loads(run_fresh(probe)))
+    return run_fresh(probe).strip() == "True"
 
 
-@pytest.fixture(scope="module")
-def loaded():
-    return {command: loaded_by([command, *argv]) for command, argv in CHEAP_RUNS.items()}
+def test_cli_import_loads_every_layer():
+    # perfbench's traced mode wraps every layer right after this import and
+    # counts time spent loading a layer later as unattributed
+    probe = (
+        "import json, sys, centroaffine.cli\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('centroaffine.')]))\n"
+    )
+    layers = {f"centroaffine.{layer}" for layer in EXPORTS} | {"centroaffine.cli"}
+    assert set(json.loads(run_fresh(probe))) == layers
 
 
-@pytest.mark.parametrize("command", ["polygon-min", "bs-check"])
-def test_polygon_commands_load_no_billiards_or_curves(loaded, command):
-    assert {"centroaffine.billiards", "centroaffine.curves"}.isdisjoint(loaded[command])
-    assert {"centroaffine.polygons", "centroaffine.sampling"} <= loaded[command]
+def test_no_subcommand_loads_numpy_ma():
+    assert [c for c, argv in CHEAP_RUNS.items() if loads_numpy_ma([c, *argv])] == []
 
 
-@pytest.mark.parametrize("command", ["abstime", "farfield-error"])
-def test_billiards_commands_load_no_curves_or_sampling(loaded, command):
-    assert {"centroaffine.curves", "centroaffine.sampling"}.isdisjoint(loaded[command])
-    assert "centroaffine.billiards" in loaded[command]
-
-
-def test_no_subcommand_loads_numpy_ma(loaded):
-    assert {command for command, mods in loaded.items() if "numpy.ma" in mods} == set()
+def test_sampling_loads_no_billiards_or_curves():
+    probe = (
+        "import json, sys, centroaffine.sampling\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('centroaffine.'))))\n"
+    )
+    loaded = set(json.loads(run_fresh(probe)))
+    assert "centroaffine.sampling" in loaded
+    assert {"centroaffine.billiards", "centroaffine.curves"}.isdisjoint(loaded)
 
 
 def test_package_import_loads_no_layer():
@@ -124,8 +127,8 @@ def test_every_public_name_resolves_to_its_layer(layer, name):
 def test_star_import_and_dir_list_every_name():
     namespace = {}
     exec("from centroaffine import *", namespace)
-    assert {name for _, name in NAMES} <= set(namespace)
-    assert {name for _, name in NAMES} <= set(dir(centroaffine))
+    assert {name for _, name in NAMES} | set(EXPORTS) <= set(namespace)
+    assert {name for _, name in NAMES} | set(EXPORTS) <= set(dir(centroaffine))
 
 
 def test_layers_are_attributes_of_the_package():

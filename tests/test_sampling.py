@@ -15,8 +15,8 @@ from centroaffine import (
 from centroaffine.curves import DELTA_DIFFEO
 from centroaffine.duality import bs_product_polygon
 from centroaffine.errors import DegenerateRays, InvariantViolation, NotStarShaped
-from centroaffine.planar import _star_vertices
-from centroaffine.polygons import _ray_points, regular_polygon
+from centroaffine.planar import _shifted, _star_vertices
+from centroaffine.polygons import CrossProducts, _ray_points, regular_polygon
 from centroaffine.sampling import (
     _hull,
     near_regular_polygon,
@@ -204,8 +204,12 @@ def test_stacked_products_match_one_at_a_time():
     stack = random_star_polygons(9, 50, rng_from_seed(1))
     products = bs_product_polygon(stack)
     assert np.array_equal(products, [bs_product_polygon(StarPolygon(v)) for v in stack])
-    rows = [cross_products(StarPolygon(v)).values for v in stack]
-    assert np.array_equal(cross_products(stack).values, rows)
+
+
+def test_cross_products_hold_one_polygon():
+    stack = random_star_polygons(5, 3, rng_from_seed(1))
+    with pytest.raises(InvariantViolation, match="flat sequence"):
+        CrossProducts(area_form(_shifted(stack, -1), _shifted(stack, 1)))
 
 
 def _planted(row):
@@ -234,7 +238,7 @@ def test_planted_row_raises_what_star_polygon_raises(row, error):
     with pytest.raises(InvariantViolation) as single:
         StarPolygon(row)
     assert single.type is error
-    for check in (_star_stack, cross_products, bs_product_polygon):
+    for check in (_star_stack, bs_product_polygon):
         with pytest.raises(InvariantViolation) as stacked:
             check(_planted(row))
         assert stacked.type is error
