@@ -10,7 +10,9 @@ every run times the same work.  Needs numpy only.
 
 The kernels run on the BLAS threads a CLI process gets: one, unless
 OPENBLAS_NUM_THREADS is set, and the machine block records its value (null
-when unset).
+when unset).  It also records sys.flags.dont_write_bytecode: when it is set
+(PYTHONDONTWRITEBYTECODE), every cli_launch_* process compiles the package
+from source.
 """
 
 from __future__ import annotations
@@ -50,6 +52,15 @@ def kernels() -> dict:
     orders = [4, 6, 8]
     params = np.array([0.02, 0.01, -0.005, 0.004, 0.003])
     alpha_idx = np.arange(10, 256, 10)
+
+    def packet(cutoff):
+        """Orders 4, 6, ..., 2M and a packet on them in the search's layout, |f' - 1| <= 0.4."""
+        orders = list(range(4, 2 * cutoff + 1, 2))
+        z = [0.2 / (k * len(orders)) * complex(math.cos(k), math.sin(k)) for k in orders]
+        return np.array([z[0].real] + [p for c in z[1:] for p in (c.real, c.imag)]), orders
+
+    params8, orders8 = packet(8)
+    params16, orders16 = packet(16)
 
     poly = sampling.random_star_polygon(81, rng).vertices.copy()
     rays = sampling.random_ray_configuration(21, rng)
@@ -110,6 +121,14 @@ def kernels() -> dict:
         "deficit_objective_m4": (
             lambda: curves._deficit_objective(params, orders, alpha_idx, 256),
             "one conjecture-search objective, M = 4, grid 256, 25 alphas",
+        ),
+        "deficit_objective_m8": (
+            lambda: curves._deficit_objective(params8, orders8, alpha_idx, 256),
+            "one conjecture-search objective, M = 8 (orders 4..16), grid 256, 25 alphas",
+        ),
+        "deficit_objective_m16": (
+            lambda: curves._deficit_objective(params16, orders16, alpha_idx, 256),
+            "one conjecture-search objective, M = 16 (orders 4..32), grid 256, 25 alphas",
         ),
         "energy_gradient_n81": (
             lambda: (polygons._poly_energy(poly), polygons._energy_gradient(poly)),
@@ -185,6 +204,7 @@ def machine() -> dict:
         "machine": platform.machine(),
         "system": platform.system(),
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
     }
 
 

@@ -367,6 +367,24 @@ class SL2Matrix:
         return cls(1.0, 0.0, 0.0, 1.0)
 
 
+def _sl2_stack(m: np.ndarray) -> np.ndarray:
+    """A (count, 2, 2) stack that passes SL2Matrix's rules in every row.
+
+    Each determinant takes SL2Matrix's float steps, so a row passes exactly
+    when ``SL2Matrix.from_array`` of it would, and a failing row raises the
+    same class.
+    """
+    if not np.all(np.isfinite(m)):
+        raise InvariantViolation("matrix entries must be finite")
+    off = np.abs(m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0] - 1.0)
+    worst = int(np.argmax(off))
+    if off[worst] > EPS_DET:
+        raise InvariantViolation(
+            f"|det - 1| = {off[worst]:.3e} exceeds eps_det = {EPS_DET:.0e} (matrix {worst})"
+        )
+    return m
+
+
 def _shifted(vertices: np.ndarray, k: int) -> np.ndarray:
     """Rows V_{i+k}, i = 0..n-1, of a half list under the wrap V_{i+n} = -V_i.
 

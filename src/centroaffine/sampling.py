@@ -24,6 +24,7 @@ from .planar import (
     spectral_derivative,
     TrigSeries,
     _resample_with_phases,
+    _sl2_stack,
     _star_vertices,
 )
 from .polygons import (
@@ -45,14 +46,23 @@ def rng_from_seed(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_sl2(rng: np.random.Generator, spread: float = 0.3) -> SL2Matrix:
+# log-squeeze and shear spread of random_sl2
+_SL2_SPREAD = 0.3
+
+
+def random_sl2(rng: np.random.Generator, spread: float = _SL2_SPREAD) -> SL2Matrix:
     """Random unimodular matrix: rotation times a random squeeze and shear."""
+    rot, squeeze = np.array(_sl2_factors(rng, spread)).reshape(2, 2, 2)
+    return SL2Matrix.from_array(rot @ squeeze)
+
+
+def _sl2_factors(rng: np.random.Generator, spread: float) -> tuple:
+    """The draws of one random_sl2: its rotation's entries, then its squeeze's."""
     phi = rng.uniform(0.0, TWO_PI)
     a = math.exp(spread * rng.normal())
     s = spread * rng.normal()
-    rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
-    squeeze = np.array([[a, s], [0.0, 1.0 / a]])
-    return SL2Matrix.from_array(rot @ squeeze)
+    c, sn = math.cos(phi), math.sin(phi)
+    return c, -sn, sn, c, a, s, 0.0, 1.0 / a
 
 
 def random_ray_configuration(n: int, rng: np.random.Generator) -> RayConfiguration:
@@ -116,11 +126,12 @@ def random_star_polygons(
     Row k equals the k-th of ``count`` calls of :func:`random_star_polygon`
     with the same generator, bit for bit, and the generator ends in the same
     state.  Odd n takes each polygon's draws in the same order (its rays,
-    then its SL(2) matrix) and then builds the rays, normalizes them, moves
-    them and checks StarPolygon's rules for the whole stack at once, with
-    the same arithmetic per row.  The rays' own checks are left to the
-    normalization (``DegenerateRays``) and StarPolygon's rules.  Even n
-    projects one polygon at a time.
+    then its SL(2) matrix's angle, squeeze and shear) and then, for the
+    whole stack at once and with the same arithmetic per row, multiplies
+    each rotation by its squeeze and checks SL2Matrix's rules, builds the
+    rays, normalizes them, moves them and checks StarPolygon's rules.  The
+    rays' own checks are left to the normalization (``DegenerateRays``) and
+    StarPolygon's rules.  Even n projects one polygon at a time.
     """
     if n < 3:
         raise InvariantViolation("need at least 3 rays")
@@ -132,13 +143,15 @@ def random_star_polygons(
         )
     raw = np.empty((count, n))
     theta0 = np.empty(count)
-    moves = np.empty((count, 2, 2))
+    factors = []
     for k in range(count):
         raw[k], theta0[k] = _ray_draws(n, rng)
         if transform:
-            moves[k] = random_sl2(rng).array
+            factors.append(_sl2_factors(rng, _SL2_SPREAD))
     points = _ray_points(_ray_angles(raw, theta0))
     if transform:
+        stack = np.array(factors).reshape(count, 2, 2, 2)
+        moves = _sl2_stack(np.matmul(stack[:, 0], stack[:, 1]))
         points = points @ np.swapaxes(moves, 1, 2)
     return _star_vertices(points, 3)
 

@@ -30,7 +30,13 @@ from centroaffine import (
     schwarzian_potential,
     sl2_apply,
 )
-from centroaffine.curves import _deficit_objective, _mode_values, _nelder_mead
+from centroaffine.curves import (
+    _curve_samples,
+    _deficit_objective,
+    _mode_values,
+    _nelder_mead,
+    _profile_from_samples,
+)
 from centroaffine.errors import (
     AlphaOutOfRange,
     InvariantViolation,
@@ -129,6 +135,24 @@ class TestAreaFunctional:
             d = random_diffeo(rng, strength=0.2)
             alphas, values = area_functional_profile(d)
             assert np.min(values - np.sin(alphas)) >= -1e-9
+
+    @pytest.mark.parametrize("grid", [16, 32, 64, 128, 256, 512, 1024])
+    def test_profile_equals_two_transform_reference(self, grid):
+        # the profile transforms both coordinates in one call; each row must
+        # get the bits of a transform of its own
+        def reference(half_samples):
+            doubled = np.vstack([half_samples, -half_samples])
+            x = np.fft.fft(doubled[:, 0])
+            y = np.fft.fft(doubled[:, 1])
+            corr = np.fft.ifft(np.conj(x) * y - np.conj(y) * x).real / doubled.shape[0]
+            n = half_samples.shape[0]
+            return np.arange(n + 1) * (math.pi / n), corr[: n + 1].copy()
+
+        rng = np.random.default_rng(grid)
+        for _ in range(8):
+            samples = _curve_samples(random_diffeo(rng, grid=grid), grid)
+            for got, want in zip(_profile_from_samples(samples), reference(samples)):
+                assert np.array_equal(got, want)
 
 
 class TestHessianModes:

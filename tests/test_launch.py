@@ -1,4 +1,5 @@
-"""What a launch loads: every layer with the CLI, no numpy.ma, and the lazy names and imports."""
+"""What a launch loads and keeps: every layer with the CLI, no numpy.ma, a frozen import heap,
+and the lazy names and imports."""
 
 import importlib
 import json
@@ -93,6 +94,32 @@ def test_cli_import_loads_every_layer():
     )
     layers = {f"centroaffine.{layer}" for layer in EXPORTS} | {"centroaffine.cli"}
     assert set(json.loads(run_fresh(probe))) == layers
+
+
+def test_cli_import_freezes_the_import_heap():
+    assert int(run_fresh("import gc, centroaffine.cli; print(gc.get_freeze_count())")) > 10_000
+
+
+def test_package_import_freezes_nothing():
+    assert int(run_fresh("import gc, centroaffine; print(gc.get_freeze_count())")) == 0
+
+
+def test_out_file_from_a_launch_matches_in_process_main(tmp_path):
+    # the report reaches the file before interpreter shutdown, which no longer
+    # collects the frozen heap
+    from centroaffine import cli
+
+    argv = ["bs-check", *CHEAP_RUNS["bs-check"], "--out"]
+    launched, in_process = tmp_path / "launched.json", tmp_path / "in_process.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "centroaffine.cli", *argv, str(launched)],
+        capture_output=True, env=env,
+    )
+    assert proc.returncode == cli.main([*argv, str(in_process)]) == 0
+    assert proc.stdout == b""
+    assert launched.read_bytes() == in_process.read_bytes()
 
 
 def test_no_subcommand_loads_numpy_ma():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from centroaffine import (
+    SL2Matrix,
     StarPolygon,
     area_form,
     cross_products,
@@ -15,7 +16,7 @@ from centroaffine import (
 from centroaffine.curves import DELTA_DIFFEO
 from centroaffine.duality import bs_product_polygon
 from centroaffine.errors import DegenerateRays, InvariantViolation, NotStarShaped
-from centroaffine.planar import _shifted, _star_vertices
+from centroaffine.planar import _shifted, _sl2_stack, _star_vertices
 from centroaffine.polygons import CrossProducts, _ray_points, regular_polygon
 from centroaffine.sampling import (
     _hull,
@@ -256,3 +257,48 @@ def test_stacked_degenerate_rays_raise():
     angles[1, 2] = angles[1, 1] + 1e-14
     with pytest.raises(DegenerateRays):
         _ray_points(angles)
+
+
+def _sl2_rows(count, seed):
+    rng = rng_from_seed(seed)
+    return np.stack([random_sl2(rng).array for _ in range(count)])
+
+
+def _det_off(m):
+    m[0] *= 1.0 + 1e-9  # the determinant moves by about 1e-9 > EPS_DET
+
+
+def _nan_entry(m):
+    m[1, 1] = math.nan
+
+
+def _inf_entry(m):
+    m[0, 1] = math.inf
+
+
+def test_sl2_stack_passes_what_sl2_matrix_passes():
+    rows = _sl2_rows(50, 4)
+    assert _sl2_stack(rows) is rows
+
+
+@pytest.mark.parametrize(
+    "plant, match",
+    [(_det_off, "eps_det"), (_nan_entry, "finite"), (_inf_entry, "finite")],
+    ids=["det-off", "nan", "inf"],
+)
+def test_planted_sl2_row_raises_what_sl2_matrix_raises(plant, match):
+    rows = _sl2_rows(6, 4)
+    plant(rows[3])
+    with pytest.raises(InvariantViolation) as single:
+        SL2Matrix.from_array(rows[3])
+    with pytest.raises(InvariantViolation, match=match) as stacked:
+        _sl2_stack(rows)
+    assert stacked.type is single.type
+
+
+def test_batched_sl2_moves_match_random_sl2_on_many_draws():
+    count = 2000
+    stack = random_star_polygons(3, count, rng_from_seed(8))
+    ref_rng = rng_from_seed(8)
+    ref = np.stack([_reference_star_polygon(3, ref_rng).vertices for _ in range(count)])
+    assert np.array_equal(stack, ref)
