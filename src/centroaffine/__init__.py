@@ -34,24 +34,21 @@ _EXPORTS = {
     "billiards": (
         "AbsoluteTimeReport", "ConvexTable", "FarFieldCurve", "FarFieldError", "FlowTrajectory",
         "absolute_time", "billiard_orbit", "far_field_curve", "far_field_error",
-        "far_field_flow", "gauge_function", "kepler_residual", "named_table",
-        "outer_billiard_step", "polygon_table", "support_table",
+        "far_field_flow", "gauge_function", "kepler_residual", "named_table", "polygon_table",
+        "support_table",
     ),
     "curves": (
-        "DELTA_DIFFEO", "DiffeoCurve", "HessianMode", "HillPotential", "area_functional",
-        "area_functional_profile", "average_schwarzian", "chord_average", "chord_bound",
-        "criticality_residual", "curve_from_diffeo", "deficit_search", "hessian_mode_numeric",
-        "hessian_mode_value", "hill_potential", "petty_product", "polygon_diagonal_average",
-        "polygon_diagonal_bound", "positivity_scan", "schwarzian", "schwarzian_potential",
+        "DELTA_DIFFEO", "DiffeoCurve", "HessianMode", "area_functional", "area_functional_profile",
+        "average_schwarzian", "chord_average", "chord_bound", "criticality_residual",
+        "curve_from_diffeo", "deficit_search", "hessian_mode_numeric", "hessian_mode_value",
+        "petty_product", "polygon_diagonal_average", "polygon_diagonal_bound", "positivity_scan",
+        "schwarzian",
     ),
-    "duality": (
-        "bs_bound_curve", "bs_bound_polygon", "bs_product_curve", "bs_product_polygon",
-        "central_symmetrize",
-    ),
+    "duality": ("bs_bound_polygon", "bs_product_polygon", "central_symmetrize"),
     "errors": (
-        "AlphaOutOfRange", "ClosureViolation", "ConfigError", "DegenerateRays", "EvenN",
-        "InteriorPoint", "InvariantViolation", "NotADiffeo", "NotStarShaped", "NotUnitSpeed",
-        "ParseError", "UndefinedOnSingularSet",
+        "AlphaOutOfRange", "ClosureViolation", "ConfigError", "DegenerateRays", "InteriorPoint",
+        "InvariantViolation", "NotADiffeo", "NotStarShaped", "NotUnitSpeed", "ParseError",
+        "UndefinedOnSingularSet",
     ),
     "planar": (
         "SL2Matrix", "SampledCurve", "StarPolygon", "SupportBody", "TrigSeries", "area_form",
@@ -59,10 +56,9 @@ _EXPORTS = {
     ),
     "polygons": (
         "CrossProducts", "MinimizationResult", "RayConfiguration", "canonical_gauge",
-        "closure_residual", "cross_products", "energy", "energy_lower_bound",
-        "even_fiber_residual", "frieze_determinant", "frieze_relation_residual",
-        "minimize_energy", "normalize_rays", "polygon_rays", "project_to_unit_cross",
-        "reconstruct", "regular_polygon",
+        "cross_products", "energy", "energy_lower_bound", "frieze_determinant",
+        "frieze_relation_residual", "minimize_energy", "project_to_unit_cross", "reconstruct",
+        "regular_polygon",
     ),
     "reports": ("Report",),
     "sampling": (

@@ -249,11 +249,6 @@ def _polygon_map(pts: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return step
 
 
-def outer_billiard_step(table: ConvexTable, x) -> np.ndarray:
-    """One application of the outer billiard map F(x) = 2 P - x."""
-    return _billiard_map(table)(np.asarray(x, dtype=float).reshape(2))
-
-
 def billiard_orbit(table: ConvexTable, x0, steps: int) -> np.ndarray:
     """Orbit x, F(x), ..., F^steps(x) as a (steps+1, 2) array."""
     steps = int(steps)

@@ -15,9 +15,10 @@ equals sin(alpha) on the unit circle and on every SL(2) image of it; the
 routines below evaluate it, expand its Hessian at the circle into Fourier
 modes, and search for functions with I(alpha) < sin(alpha).
 
-The same diffeomorphism drives two classical quantities: the Hill potential
-k = [gamma', gamma''] of the loop and the Schwarzian average of the doubled
-circle map phi = 2 f, related by k = f'^2 + S(f)/2.
+The same diffeomorphism drives two classical quantities: the area product
+of the loop, T times the integral of the potential k = [gamma', gamma''] of
+its Hill equation gamma'' + k gamma = 0, and the Schwarzian average of the
+doubled circle map phi = 2 f; pointwise k = f'^2 + S(f)/2.
 """
 
 from __future__ import annotations
@@ -232,30 +233,17 @@ def area_functional_profile(obj) -> tuple[np.ndarray, np.ndarray]:
     return _profile_from_samples(samples)
 
 
-@dataclass(frozen=True)
-class HillPotential:
-    """Sampled potential k(t) = [gamma'(t), gamma''(t)] on the half period."""
-
-    samples: np.ndarray
-    period: float
-
-    def integral(self) -> float:
-        return float(np.mean(self.samples) * self.period)
-
-
-def hill_potential(curve: SampledCurve) -> HillPotential:
-    """Potential of the Hill equation gamma'' + k gamma = 0 the loop solves."""
-    if not curve.wronskian_normalized:
-        raise InvariantViolation("Hill potential needs [gamma, gamma'] = 1")
-    d1 = curve.derivative(1)
-    d2 = curve.derivative(2)
-    return HillPotential(area_form(d1, d2), curve.period)
-
-
 def petty_product(curve: SampledCurve) -> float:
-    """T * int_0^T k dt; at most pi^2, with equality exactly on conics."""
-    pot = hill_potential(curve)
-    return curve.period * pot.integral()
+    """Area product T * int_0^T k dt of the loop and its polar dual.
+
+    k = [gamma', gamma''] is the potential of the Hill equation
+    gamma'' + k gamma = 0 that the loop solves.  The product is at most
+    pi^2, with equality exactly on conics.
+    """
+    if not curve.wronskian_normalized:
+        raise InvariantViolation("area product needs [gamma, gamma'] = 1")
+    k = area_form(curve.derivative(1), curve.derivative(2))
+    return curve.period * float(np.mean(k) * curve.period)
 
 
 def schwarzian(f_samples: np.ndarray, period: float) -> np.ndarray:
@@ -297,18 +285,6 @@ def average_schwarzian(obj) -> float:
     t = np.arange(phi.shape[0]) * (TWO_PI / phi.shape[0])
     fp = 1.0 + spectral_derivative(phi - t, TWO_PI, 1)
     return float(TWO_PI * np.mean(0.5 * fp**2 + s_val))
-
-
-def schwarzian_potential(diffeo: DiffeoCurve) -> HillPotential:
-    """Hill potential recovered from the doubled circle map phi = 2 f.
-
-    Half the quantity (1/2) phi'^2 + S(phi) reproduces k = f'^2 + S(f)/2
-    pointwise, tying the loop potential to the Schwarzian cocycle.
-    """
-    t = np.arange(diffeo.grid_size) * (math.pi / diffeo.grid_size)
-    fp, fpp, fppp = (diffeo.angle_map(t, order=k) for k in (1, 2, 3))
-    phi_expr = 0.5 * (2.0 * fp) ** 2 + _schwarzian(fp, fpp, fppp)
-    return HillPotential(0.5 * phi_expr, math.pi)
 
 
 @dataclass(frozen=True)
@@ -573,6 +549,20 @@ def _nelder_mead(fun, x0, args, maxiter, xatol, fatol):
     return sim[0], float(np.min(fsim)), nfev
 
 
+def _alpha_indices(alpha_grid: int, grid: int) -> np.ndarray:
+    """Distinct grid shifts nearest to alpha_grid equally spaced interior angles."""
+    if alpha_grid + 1 >= grid:
+        # steps of at most one cell round onto every interior shift
+        return np.arange(1, grid)
+    alpha_idx = np.clip(
+        np.round((np.arange(1, alpha_grid + 1) * grid) / (alpha_grid + 1)).astype(int),
+        1,
+        grid - 1,
+    )
+    # sorted, so repeats are neighbours (np.unique would load numpy.ma)
+    return alpha_idx[np.diff(alpha_idx, prepend=0) > 0]
+
+
 def deficit_search(
     cutoff: int,
     trials: int,
@@ -603,13 +593,7 @@ def deficit_search(
     _require_power_of_two(grid)
     orders = list(range(4, 2 * cutoff + 1, 2))
     dim = 1 + 2 * (len(orders) - 1)
-    alpha_idx = np.clip(
-        np.round((np.arange(1, alpha_grid + 1) * grid) / (alpha_grid + 1)).astype(int),
-        1,
-        grid - 1,
-    )
-    # sorted, so repeats are neighbours (np.unique would load numpy.ma)
-    alpha_idx = alpha_idx[np.diff(alpha_idx, prepend=0) > 0]
+    alpha_idx = _alpha_indices(alpha_grid, grid)
     if maxiter is None:
         maxiter = 400 * dim
     best = math.inf

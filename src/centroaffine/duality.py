@@ -1,12 +1,12 @@
-"""Area products of polar-dual pairs and central symmetrization.
+"""Area products of polar-dual star polygons, and central symmetrization.
 
 The plane is identified with its dual through the area form.  A star
 polygon V with [V_i, V_{i+1}] = 1 pairs to one with its dual
-V*_i = V_{i+1} - V_i, and a Wronskian-normalized curve gamma with its polar
-dual gamma' / [gamma, gamma'].  The area products A(V) A(V*) and
-A(gamma) A(gamma*) are computed here from the primal object alone, next to
-their sharp Blaschke-Santalo type bounds.  Central symmetrization is the
-Minkowski half-sum of a convex body with its antipodal image.
+V*_i = V_{i+1} - V_i.  The area product A(V) A(V*) is computed here from
+the primal polygon alone, next to its sharp Blaschke-Santalo type bound;
+the smooth analogue for a curve and its polar dual is
+``curves.petty_product``.  Central symmetrization is the Minkowski half-sum
+of a convex body with its antipodal image.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .planar import (
-    SampledCurve,
     SupportBody,
     StarPolygon,
     TWO_PI,
@@ -49,18 +48,6 @@ def bs_product_polygon(polygon):
 def bs_bound_polygon(n: int) -> float:
     """Sharp upper bound 4 n^2 sin^2(pi / 2n) for the polygon area product."""
     return 4.0 * n * n * math.sin(math.pi / (2 * n)) ** 2
-
-
-def bs_product_curve(curve: SampledCurve) -> float:
-    """Area product T * integral of the radial acceleration [gamma', gamma'']."""
-    if not curve.wronskian_normalized:
-        raise InvariantViolation("area product needs a Wronskian-normalized curve")
-    k = area_form(curve.derivative(1), curve.derivative(2))
-    return curve.period * float(np.mean(k) * curve.period)
-
-
-def bs_bound_curve() -> float:
-    return math.pi * math.pi
 
 
 def _polygon_support(vertices: np.ndarray, angles: np.ndarray) -> np.ndarray:

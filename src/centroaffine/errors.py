@@ -13,10 +13,6 @@ class ClosureViolation(ValueError):
     """A cross-product sequence does not close up into a polygon."""
 
 
-class EvenN(ValueError):
-    """Ray normalization is only determined for an odd number of rays."""
-
-
 class DegenerateRays(ValueError):
     """Two rays (nearly) coincide, so no finite normalization exists."""
 

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ClosureViolation,
-    DegenerateRays,
-    EvenN,
-    InvariantViolation,
-)
+from .errors import ClosureViolation, DegenerateRays, InvariantViolation
 from .planar import (
     EPS_CLOSE,
     EPS_POLY,
@@ -138,22 +133,6 @@ def frieze_determinant(c: CrossProducts, i: int, j: int) -> float:
     return float(_frieze_values(c, i, j)[-1])
 
 
-def closure_residual(c: CrossProducts) -> np.ndarray:
-    """The three numbers (F_{0,n-1} - 1, F_{-1,n-1}, F_{0,n}).
-
-    All vanish exactly when the recurrence V_{i+1} = c_i V_i - V_{i-1}
-    closes into an origin-symmetric polygon.
-    """
-    n = c.n
-    return np.array(
-        [
-            frieze_determinant(c, 0, n - 1) - 1.0,
-            frieze_determinant(c, -1, n - 1),
-            frieze_determinant(c, 0, n),
-        ]
-    )
-
-
 def frieze_relation_residual(c: CrossProducts, i: int, j: int) -> float:
     """Deviation of F_{i-1,j-1} F_{i,j} - F_{i,j-1} F_{i-1,j} from one."""
     if j - i < 2:
@@ -204,22 +183,13 @@ def _ray_deltas(angles: np.ndarray) -> np.ndarray:
     return np.diff(ext, axis=-1)
 
 
-def normalize_rays(rays: RayConfiguration) -> StarPolygon:
-    """Scale points on given rays so all consecutive cross products equal one.
-
-    Solvable precisely for an odd number of rays: the cyclic system
-    t_i t_{i+1} sin(delta_i) = 1 has the alternating-sum solution in
-    log coordinates.  Even counts are rejected; their normalization has a
-    one-parameter fiber and a codimension-one solvability condition, exposed
-    separately by :func:`even_fiber_residual`.
-    """
-    if rays.n % 2 == 0:
-        raise EvenN("ray normalization is determined only for odd ray counts")
-    return StarPolygon(_ray_points(rays.angles))
-
-
 def _ray_points(angles: np.ndarray) -> np.ndarray:
-    """The points of :func:`normalize_rays` on an odd number n of rays, before StarPolygon's checks.
+    """Points t_i (cos, sin)(theta_i) on n rays with all [V_i, V_{i+1}] = 1, unchecked.
+
+    The cyclic system t_i t_{i+1} sin(delta_i) = 1 has the alternating-sum
+    solution in log coordinates, unique for odd n.  For even n it is
+    solvable only when the alternating sum of the log gaps vanishes, and the
+    wrap [V_{n-1}, -V_0] misses one otherwise.
 
     ``angles`` is (n,) or a (count, n) stack, one configuration per row,
     for (n, 2) or (count, n, 2) points; each row gets the arithmetic of a
@@ -238,24 +208,6 @@ def _ray_points(angles: np.ndarray) -> np.ndarray:
         s[..., i + 1] = b[..., i] - s[..., i]
     u = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     return np.exp(s)[..., None] * u
-
-
-def even_fiber_residual(rays: RayConfiguration) -> float:
-    """Log-ratio of alternating gap products; zero iff an even count normalizes."""
-    gaps = np.sin(_ray_deltas(rays.angles))
-    if np.min(gaps) <= 1e-12:
-        raise DegenerateRays("two rays nearly coincide")
-    logs = np.log(gaps)
-    return float(np.sum(logs[::2]) - np.sum(logs[1::2]))
-
-
-def polygon_rays(polygon: StarPolygon) -> RayConfiguration:
-    """Vertex arguments, lifted so they increase strictly within a half turn."""
-    v = polygon.vertices
-    theta0 = math.atan2(v[0, 1], v[0, 0])
-    turns = _turn_angles(v)
-    angles = theta0 + np.concatenate([[0.0], np.cumsum(turns[:-1])])
-    return RayConfiguration(angles)
 
 
 def regular_polygon(n: int) -> StarPolygon:

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,18 @@ class TestUsageErrors:
     def test_polygon_min_needs_n(self, capsys):
         rc, _, _ = run_cli(capsys, ["polygon-min", "--n", "2"])
         assert rc == 1
+
+    def test_polygon_min_n_past_the_cap(self, capsys, monkeypatch):
+        # the check runs before the minimizer, whose solve would take 8 n^2 bytes
+        def no_minimizer(*args, **kwargs):
+            raise AssertionError("minimize_energy ran")
+
+        monkeypatch.setattr(cli.polygons, "minimize_energy", no_minimizer)
+        n = str(cli.MAX_POLYGON_N + 1)
+        rc, out, err = run_cli(capsys, ["polygon-min", "--n", n, "--trials", "1"])
+        assert rc == 1
+        assert out == ""
+        assert "--n" in err and str(cli.MAX_POLYGON_N) in err
 
     def test_bs_check_needs_source(self, capsys):
         rc, _, _ = run_cli(capsys, ["bs-check"])
@@ -599,6 +612,21 @@ class TestOutputFormats:
         assert rc == 0
         assert "wall time" in err
         assert "wall_time" not in out
+
+
+class TestMemory:
+    def test_conjecture_search_grid_allocates_no_grid_entries(self, capsys):
+        # the 1e7 alpha samples land on 255 distinct shifts of the 256-point grid
+        tracemalloc.start()
+        try:
+            argv = ["conjecture-search", "--grid", "10000000", "--trials", "1"]
+            rc, out, _ = run_cli(capsys, argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert json.loads(out)["inputs"]["alpha_grid"] == 10_000_000
+        assert peak < 16 * 2**20
 
 
 CHEAP_RUNS = {

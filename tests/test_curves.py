@@ -11,6 +11,7 @@ from centroaffine import (
     DiffeoCurve,
     SL2Matrix,
     SampledCurve,
+    area_form,
     area_functional,
     area_functional_profile,
     average_schwarzian,
@@ -21,16 +22,15 @@ from centroaffine import (
     deficit_search,
     hessian_mode_numeric,
     hessian_mode_value,
-    hill_potential,
     petty_product,
     polygon_diagonal_average,
     polygon_diagonal_bound,
     positivity_scan,
     schwarzian,
-    schwarzian_potential,
     sl2_apply,
 )
 from centroaffine.curves import (
+    _alpha_indices,
     _curve_samples,
     _deficit_objective,
     _mode_values,
@@ -53,6 +53,11 @@ def circle_curve(n=1024):
     return SampledCurve(
         np.column_stack([np.cos(t), np.sin(t)]), math.pi, wronskian_normalized=True
     )
+
+
+def _hill_potential(curve):
+    """k = [gamma', gamma''], the potential of the Hill equation gamma'' + k gamma = 0."""
+    return area_form(curve.derivative(1), curve.derivative(2))
 
 
 class TestDiffeoCurve:
@@ -205,9 +210,10 @@ class TestHessianModes:
 
 class TestHillAndPetty:
     def test_circle_potential_is_one(self):
-        pot = hill_potential(circle_curve())
-        np.testing.assert_allclose(pot.samples, 1.0, atol=1e-10)
-        assert pot.integral() == pytest.approx(math.pi, abs=1e-12)
+        np.testing.assert_allclose(_hill_potential(circle_curve()), 1.0, atol=1e-10)
+        curve = random_diffeo(np.random.default_rng(0)).curve()
+        want = curve.period * float(np.mean(_hill_potential(curve)) * curve.period)
+        assert petty_product(curve) == want
 
     def test_petty_equality_on_conics(self, rng):
         assert petty_product(circle_curve()) == pytest.approx(math.pi**2, abs=1e-10)
@@ -223,7 +229,7 @@ class TestHillAndPetty:
         t = math.pi * np.arange(128) / 128
         bare = SampledCurve(np.column_stack([np.cos(t), np.sin(t)]), math.pi)
         with pytest.raises(InvariantViolation):
-            hill_potential(bare)
+            petty_product(bare)
 
 
 class TestSchwarzian:
@@ -260,10 +266,12 @@ class TestSchwarzian:
             schwarzian(t + 1.2 * np.sin(t), TWO_PI)
 
     def test_doubled_map_reproduces_hill_potential(self, rng):
+        # k = f'^2 + S(f)/2, half of (1/2) phi'^2 + S(phi) for the doubled map phi = 2 f
         d = random_diffeo(rng, strength=0.5)
-        via_schwarzian = schwarzian_potential(d)
-        via_curve = hill_potential(d.curve())
-        np.testing.assert_allclose(via_schwarzian.samples, via_curve.samples, atol=1e-7)
+        t = np.arange(d.grid_size) * (math.pi / d.grid_size)
+        fp, fpp, fppp = (d.angle_map(t, order=k) for k in (1, 2, 3))
+        via_schwarzian = fp**2 + 0.5 * (fppp / fp - 1.5 * (fpp / fp) ** 2)
+        np.testing.assert_allclose(via_schwarzian, _hill_potential(d.curve()), atol=1e-7)
 
 
 class TestCriticality:
@@ -390,6 +398,16 @@ def test_deficit_search_supports_conjecture():
 def test_deficit_search_validates_cutoff():
     with pytest.raises(InvariantViolation):
         deficit_search(1, 3, 8, 0)
+
+
+@pytest.mark.parametrize("grid", [16, 256])
+def test_alpha_indices_are_the_distinct_rounded_angles(grid):
+    # from alpha_grid = grid - 1 on, every interior shift is hit and none is allocated twice
+    for alpha_grid in [*range(1, 4 * grid), 20_000]:
+        spaced = np.arange(1, alpha_grid + 1) * grid / (alpha_grid + 1)
+        want = np.clip(np.round(spaced).astype(int), 1, grid - 1)
+        want = want[np.diff(want, prepend=0) > 0]
+        assert np.array_equal(_alpha_indices(alpha_grid, grid), want)
 
 
 def _rosenbrock(x):

@@ -1,7 +1,7 @@
 """Area products of polar-dual pairs, and central symmetrization.
 
 The duals themselves are built here, as oracles: the area products that
-`bs_product_polygon` and `bs_product_curve` compute from the primal object
+`bs_product_polygon` and `petty_product` compute from the primal object
 alone must equal the product of the two areas.
 """
 
@@ -16,14 +16,13 @@ from centroaffine import (
     StarPolygon,
     SupportBody,
     area_form,
-    bs_bound_curve,
     bs_bound_polygon,
-    bs_product_curve,
     bs_product_polygon,
     central_symmetrize,
     cross_products,
     curve_from_diffeo,
     energy,
+    petty_product,
     regular_polygon,
     signed_area,
     sl2_apply,
@@ -64,6 +63,12 @@ def _polar_dual(curve):
     pts = curve.doubled()
     deriv = spectral_derivative(pts, 2.0 * curve.period, 1)
     return deriv / area_form(pts, deriv)[:, None]
+
+
+def _direct_area_product(curve):
+    """A(gamma) A(gamma*) from the two fronts over the full period."""
+    period = 2.0 * curve.period
+    return _spectral_area(curve.doubled(), period) * _spectral_area(_polar_dual(curve), period)
 
 
 class TestDualPolygon:
@@ -123,28 +128,27 @@ class TestPolarDualCurve:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_product_equals_area_product(self, seed):
         curve = curve_from_diffeo(random_diffeo(np.random.default_rng(seed)))
-        period = 2.0 * curve.period
-        direct = _spectral_area(curve.doubled(), period) * _spectral_area(
-            _polar_dual(curve), period
-        )
-        assert bs_product_curve(curve) == pytest.approx(direct, abs=1e-9)
+        direct = _direct_area_product(curve)
+        assert petty_product(curve) == pytest.approx(direct, abs=1e-9)
 
 
 class TestCurveAreaProduct:
     def test_circle_attains_pi_squared(self):
-        assert bs_product_curve(unit_circle_curve()) == pytest.approx(
-            bs_bound_curve(), abs=1e-10
-        )
+        circle = unit_circle_curve()
+        assert _direct_area_product(circle) == pytest.approx(math.pi**2, abs=1e-10)
+        assert petty_product(circle) == pytest.approx(math.pi**2, abs=1e-10)
 
     def test_ellipse_attains_pi_squared(self, rng):
         ellipse = sl2_apply(random_sl2(rng), unit_circle_curve())
-        assert bs_product_curve(ellipse) == pytest.approx(math.pi**2, abs=1e-9)
+        assert _direct_area_product(ellipse) == pytest.approx(math.pi**2, abs=1e-9)
+        assert petty_product(ellipse) == pytest.approx(math.pi**2, abs=1e-9)
 
-    def test_requires_normalization_flag(self):
+    def test_requires_normalization_flag(self, rng):
+        # an SL(2) image of an unflagged curve stays unflagged
         t = math.pi * np.arange(256) / 256
         curve = SampledCurve(np.column_stack([np.cos(t), np.sin(t)]), math.pi)
         with pytest.raises(InvariantViolation):
-            bs_product_curve(curve)
+            petty_product(sl2_apply(random_sl2(rng), curve))
 
 
 class TestCentralSymmetrize:

@@ -1,5 +1,6 @@
 """Every module of the package uses what it imports, every private helper has a caller,
-every exception class has a raiser, and the package imports nothing from scipy."""
+every exported name has a reader outside the unit tests, every exception class has a raiser,
+and the package imports nothing from scipy."""
 
 import ast
 import os
@@ -9,9 +10,19 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "centroaffine"
+import centroaffine
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "centroaffine"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SOURCES = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).resolve().parent.glob("*.py"))
+# What may read an exported name: the package itself, the acceptance suite and the benchmarks.
+EXPORT_READERS = [
+    *MODULES,
+    ROOT / "tests" / "test_acceptance.py",
+    ROOT / "bench" / "run.py",
+    *sorted((ROOT / "perfbench").glob("*.py")),
+]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -79,6 +90,25 @@ def test_checker_flags_a_dead_helper():
 def test_no_dead_private_helpers(path):
     others = [p.read_text(encoding="utf-8") for p in SOURCES if p != path]
     assert dead_helpers(path.read_text(encoding="utf-8"), others) == []
+
+
+def unread_exports(exports: dict, readers: list[str]) -> list[str]:
+    """Names in an export table, by layer, that none of the reader sources refers to."""
+    refs = set().union(*(references(ast.parse(s)) for s in readers))
+    return sorted({name for names in exports.values() for name in names} - refs)
+
+
+def test_checker_flags_an_unread_export():
+    exports = {"shapes": ("area", "Shape", "perimeter", "unread"), "errors": ("Flat",)}
+    module = "from .errors import Flat\n\ndef area(s):\n    raise Flat(s)\n\n"
+    module += "def unread():\n    pass\n\ndef perimeter():\n    return area(1)\n"
+    script = "import pkg\nfrom pkg import Shape\nprint(pkg.shapes.perimeter)\n"
+    assert unread_exports(exports, [module, script]) == ["unread"]
+
+
+def test_every_export_has_a_reader():
+    readers = [p.read_text(encoding="utf-8") for p in EXPORT_READERS]
+    assert unread_exports(centroaffine._EXPORTS, readers) == []
 
 
 def exception_names(source: str) -> set[str]:

@@ -14,31 +14,23 @@ from centroaffine import (
     StarPolygon,
     area_form,
     canonical_gauge,
-    closure_residual,
     cross_products,
     energy,
     energy_lower_bound,
-    even_fiber_residual,
     frieze_determinant,
     frieze_relation_residual,
     minimize_energy,
-    normalize_rays,
-    polygon_rays,
     project_to_unit_cross,
     reconstruct,
     regular_polygon,
 )
-from centroaffine.errors import (
-    ClosureViolation,
-    DegenerateRays,
-    EvenN,
-    InvariantViolation,
-)
+from centroaffine.errors import ClosureViolation, DegenerateRays, InvariantViolation
 from centroaffine.polygons import (
     _constraint_derivative,
     _constraint_values,
     _energy_gradient,
     _least_norm_step,
+    _ray_points,
 )
 from centroaffine.sampling import (
     random_ray_configuration,
@@ -47,6 +39,35 @@ from centroaffine.sampling import (
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _closure_residual(c):
+    """(F_{0,n-1} - 1, F_{-1,n-1}, F_{0,n}), all zero iff the recurrence closes up."""
+    n = c.n
+    return np.array(
+        [
+            frieze_determinant(c, 0, n - 1) - 1.0,
+            frieze_determinant(c, -1, n - 1),
+            frieze_determinant(c, 0, n),
+        ]
+    )
+
+
+def _wrap_crosses(points):
+    """[V_i, V_{i+1}] around a half list, the last one against -V_0."""
+    return area_form(points, np.vstack([points[1:], -points[:1]]))
+
+
+def _vertex_angles(poly):
+    """Vertex arguments of a star polygon, lifted to increase within a half turn."""
+    v = poly.vertices
+    return np.unwrap(np.arctan2(v[:, 1], v[:, 0]))
+
+
+def _even_fiber_residual(angles):
+    """Log-ratio of the alternating products of sin(gap), with the antipodal wrap gap."""
+    logs = np.log(np.sin(np.diff(np.append(angles, angles[0] + math.pi))))
+    return float(np.sum(logs[::2]) - np.sum(logs[1::2]))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 9])
@@ -74,12 +95,15 @@ class TestFrieze:
     def test_closure_residual_vanishes_on_real_polygons(self, rng):
         for n in (3, 4, 5, 6, 7, 8):
             poly = random_star_polygon(n, rng)
-            res = closure_residual(cross_products(poly))
-            assert np.max(np.abs(res)) < 1e-9
+            c = cross_products(poly)
+            assert np.max(np.abs(_closure_residual(c))) < 1e-9
+            reconstruct(c, -poly.vertices[-1], poly.vertices[0])
 
     def test_closure_residual_flags_fake_sequences(self):
-        res = closure_residual(CrossProducts(np.array([1.5, 1.5, 1.5, 1.5, 1.5])))
-        assert np.max(np.abs(res)) > 1e-2
+        fake = CrossProducts(np.array([1.5, 1.5, 1.5, 1.5, 1.5]))
+        assert np.max(np.abs(_closure_residual(fake))) > 1e-2
+        with pytest.raises(ClosureViolation):
+            reconstruct(fake, (0.0, -1.0), (1.0, 0.0))
 
     def test_determinant_equals_direct_cross_product(self, rng):
         poly = random_star_polygon(7, rng)
@@ -134,7 +158,7 @@ def test_quadruple_fiber_closes_and_energy_bound():
     """n = 4 sequences (x, 2/x, x, 2/x) close; the energy is minimal at x = sqrt 2."""
     for x in (0.7, 1.0, math.sqrt(2.0), 2.3):
         c = CrossProducts(np.array([x, 2.0 / x, x, 2.0 / x]))
-        assert np.max(np.abs(closure_residual(c))) < 1e-12
+        assert np.max(np.abs(_closure_residual(c))) < 1e-12
         assert energy(c) >= energy_lower_bound(4) - 1e-12
     best = CrossProducts(np.full(4, math.sqrt(2.0)))
     assert energy(best) == pytest.approx(4.0 * math.sqrt(2.0), abs=1e-14)
@@ -146,35 +170,34 @@ class TestRays:
             angles = np.sort(rng.uniform(0.0, math.pi * 0.98, size=7))
             if np.min(np.diff(angles)) < 1e-3:
                 continue
-            poly = normalize_rays(RayConfiguration(angles))
+            poly = StarPolygon(_ray_points(angles))
             assert poly.n == 7
+            np.testing.assert_allclose(_vertex_angles(poly), angles, atol=1e-12)
 
     def test_three_equal_rays(self):
-        poly = normalize_rays(RayConfiguration(np.array([0.0, math.pi / 3, 2 * math.pi / 3])))
+        poly = StarPolygon(_ray_points(np.array([0.0, math.pi / 3, 2 * math.pi / 3])))
         c = cross_products(poly).values
         np.testing.assert_allclose(c, 1.0, atol=1e-12)
 
-    def test_even_count_rejected(self):
-        rays = RayConfiguration(math.pi / 4 * np.arange(4))
-        with pytest.raises(EvenN):
-            normalize_rays(rays)
-
     def test_degenerate_rays(self):
-        angles = np.array([0.0, 1e-14, 1.0, 1.5, 2.0])
-        with pytest.raises((DegenerateRays, InvariantViolation)):
-            normalize_rays(RayConfiguration(angles))
+        with pytest.raises(DegenerateRays):
+            _ray_points(np.array([0.0, 1e-14, 1.0, 1.5, 2.0]))
 
     def test_even_fiber_residual_vanishes_iff_normalizable(self, rng):
-        poly = random_star_polygon(6, rng)
-        rays = polygon_rays(poly)
-        assert abs(even_fiber_residual(rays)) < 1e-9
-        skew = RayConfiguration(np.array([0.0, 0.3, 0.9, 1.1, 1.8, 2.7]))
-        assert abs(even_fiber_residual(skew)) > 1e-3
+        # an even count normalizes exactly on the fiber where the residual vanishes
+        angles = _vertex_angles(random_star_polygon(6, rng))
+        assert abs(_even_fiber_residual(angles)) < 1e-9
+        np.testing.assert_allclose(_wrap_crosses(_ray_points(angles)), 1.0, atol=1e-9)
+        skew = np.array([0.0, 0.3, 0.9, 1.1, 1.8, 2.7])
+        assert abs(_even_fiber_residual(skew)) > 1e-3
+        crosses = _wrap_crosses(_ray_points(skew))
+        np.testing.assert_allclose(crosses[:-1], 1.0, atol=1e-12)
+        assert math.log(crosses[-1]) == pytest.approx(-_even_fiber_residual(skew), abs=1e-12)
 
     def test_polygon_rays_roundtrip(self, rng):
         poly = random_star_polygon(5, rng)
-        again = normalize_rays(polygon_rays(poly))
-        np.testing.assert_allclose(again.vertices, poly.vertices, atol=1e-9)
+        again = _ray_points(_vertex_angles(poly))
+        np.testing.assert_allclose(again, poly.vertices, atol=1e-9)
 
     def test_ray_configuration_validation(self):
         with pytest.raises(InvariantViolation):
@@ -190,9 +213,7 @@ def test_normalized_rays_have_unit_crosses(seed):
     n = int(rng.integers(2, 6)) * 2 + 1
     angles = np.cumsum(rng.uniform(0.1, 1.0, size=n))
     angles = angles[0] + (angles - angles[0]) * (math.pi * 0.97 / (angles[-1] - angles[0] + 0.4))
-    poly = normalize_rays(RayConfiguration(angles))
-    nxt = np.vstack([poly.vertices[1:], -poly.vertices[:1]])
-    np.testing.assert_allclose(area_form(poly.vertices, nxt), 1.0, atol=1e-9)
+    np.testing.assert_allclose(_wrap_crosses(_ray_points(angles)), 1.0, atol=1e-9)
 
 
 def test_project_to_unit_cross(rng):
